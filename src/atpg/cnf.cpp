@@ -9,7 +9,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <utility>
 
 namespace lbist::atpg {
 
@@ -35,16 +34,43 @@ void CnfFormula::addClause(std::span<const CnfLit> lits) {
   offsets_.push_back(static_cast<uint32_t>(pool_.size()));
 }
 
+void CnfFormula::appendFolded(std::span<const CnfLit> lits) {
+  assert(!lits.empty() && lits.back() < kLitTrue);
+  for (size_t i = 1; i < lits.size(); ++i) {
+    assert(lits[i - 1] < lits[i] && negateLit(lits[i - 1]) != lits[i]);
+  }
+  if (contradiction_) return;
+  pool_.insert(pool_.end(), lits.begin(), lits.end());
+  offsets_.push_back(static_cast<uint32_t>(pool_.size()));
+}
+
+void CnfFormula::appendRenamed(const CnfFormula& src, size_t first,
+                               size_t last, std::span<const uint32_t> var_map) {
+  if (contradiction_ || first == last) return;
+  const uint32_t lo = src.offsets_[first];
+  const uint32_t hi = src.offsets_[last];
+  const auto base = static_cast<uint32_t>(pool_.size());
+  pool_.resize(size_t{base} + (hi - lo));
+  CnfLit* out = pool_.data() + base;
+  for (uint32_t i = lo; i < hi; ++i) {
+    const CnfLit l = src.pool_[i];
+    *out++ = (var_map[litVar(l)] << 1) | (l & 1u);
+  }
+  for (size_t c = first + 1; c <= last; ++c) {
+    offsets_.push_back(src.offsets_[c] - lo + base);
+  }
+}
+
+void CnfFormula::clear() {
+  num_vars_ = 0;
+  pool_.clear();
+  offsets_.resize(1);
+  contradiction_ = false;
+}
+
 namespace {
 
-// Dual rails of one net: `one` true means definitely 1, `zero` true
-// means definitely 0, neither true means X. The encoder maintains the
-// invariant that both rails are never simultaneously true (sources are
-// single-rail or constant; every gate function preserves it).
-struct Rails {
-  CnfLit one = kLitFalse;
-  CnfLit zero = kLitFalse;
-};
+constexpr uint32_t kNoOp = sim::CompiledNetlist::kNoOp;
 
 Rails railsX() { return {kLitFalse, kLitFalse}; }
 
@@ -55,166 +81,257 @@ Rails railsConst(bool v) {
 // 01X inversion is a rail swap — no clauses.
 Rails railsNot(Rails r) { return {r.zero, r.one}; }
 
-// Defines y <-> AND(lits) with constant folding; returns the literal
-// standing for the conjunction (possibly a sentinel or an input).
-CnfLit defineAnd(CnfFormula& cnf, std::span<const CnfLit> lits) {
-  // Fold constants and duplicates first so trivial gates cost nothing.
-  std::vector<CnfLit> in;
-  for (CnfLit l : lits) {
-    if (l == kLitFalse) return kLitFalse;
-    if (l == kLitTrue) continue;
-    in.push_back(l);
-  }
-  std::sort(in.begin(), in.end());
-  in.erase(std::unique(in.begin(), in.end()), in.end());
-  for (size_t i = 0; i + 1 < in.size(); ++i) {
-    if (negateLit(in[i]) == in[i + 1]) return kLitFalse;  // l AND NOT l
-  }
-  if (in.empty()) return kLitTrue;
-  if (in.size() == 1) return in[0];
-  const CnfLit y = posLit(cnf.newVar());
-  std::vector<CnfLit> big{y};
-  for (CnfLit l : in) {
-    cnf.addClause({negateLit(y), l});
-    big.push_back(negateLit(l));
-  }
-  cnf.addClause(big);
-  return y;
-}
+// Tseitin definitions of gate rail functions into one formula. The
+// literal buffers belong to the encoder and are reused from gate to
+// gate, so a warm encode allocates nothing.
+class GateCnf {
+ public:
+  GateCnf(CnfFormula& cnf, std::vector<CnfLit>& ones,
+          std::vector<CnfLit>& zeros, std::vector<CnfLit>& buf)
+      : cnf_(&cnf), ones_(&ones), zeros_(&zeros), buf_(&buf) {}
 
-// Defines y <-> OR(lits) by De Morgan over defineAnd.
-CnfLit defineOr(CnfFormula& cnf, std::span<const CnfLit> lits) {
-  std::vector<CnfLit> neg(lits.size());
-  for (size_t i = 0; i < lits.size(); ++i) neg[i] = negateLit(lits[i]);
-  return negateLit(defineAnd(cnf, neg));
-}
-
-CnfLit defineAnd2(CnfFormula& cnf, CnfLit a, CnfLit b) {
-  const CnfLit lits[] = {a, b};
-  return defineAnd(cnf, lits);
-}
-
-CnfLit defineOr2(CnfFormula& cnf, CnfLit a, CnfLit b) {
-  const CnfLit lits[] = {a, b};
-  return defineOr(cnf, lits);
-}
-
-CnfLit defineOr3(CnfFormula& cnf, CnfLit a, CnfLit b, CnfLit c) {
-  const CnfLit lits[] = {a, b, c};
-  return defineOr(cnf, lits);
-}
-
-// Rails of a XOR2 in the 01X tables: definite only when both inputs are
-// definite.
-Rails xorRails(CnfFormula& cnf, Rails a, Rails b) {
-  Rails r;
-  r.one = defineOr2(cnf, defineAnd2(cnf, a.one, b.zero),
-                    defineAnd2(cnf, a.zero, b.one));
-  r.zero = defineOr2(cnf, defineAnd2(cnf, a.one, b.one),
-                     defineAnd2(cnf, a.zero, b.zero));
-  return r;
-}
-
-// Encodes the rail function of compiled op `op`, reading fanin rails
-// through `railOf(slot, gate)`. Each case mirrors the corresponding
-// evalOp3 branch, including controlling-value X-suppression (an AND
-// with one definite-0 input is definitely 0 whatever the others).
-template <typename RailFn>
-Rails encodeOp(CnfFormula& cnf, const sim::CompiledNetlist& cn, uint32_t op,
-               RailFn&& railOf) {
-  using sim::OpCode;
-  const std::span<const uint32_t> fan = cn.opFanins(op);
-  std::vector<Rails> in(fan.size());
-  std::vector<CnfLit> ones(fan.size());
-  std::vector<CnfLit> zeros(fan.size());
-  for (size_t i = 0; i < fan.size(); ++i) {
-    in[i] = railOf(i, fan[i]);
-    ones[i] = in[i].one;
-    zeros[i] = in[i].zero;
-  }
-  switch (cn.opcode(op)) {
-    case OpCode::kBuf:
-      return in[0];
-    case OpCode::kNot:
-      return railsNot(in[0]);
-    case OpCode::kAnd2:
-    case OpCode::kAndN:
-      return {defineAnd(cnf, ones), defineOr(cnf, zeros)};
-    case OpCode::kNand2:
-    case OpCode::kNandN:
-      return {defineOr(cnf, zeros), defineAnd(cnf, ones)};
-    case OpCode::kOr2:
-    case OpCode::kOrN:
-      return {defineOr(cnf, ones), defineAnd(cnf, zeros)};
-    case OpCode::kNor2:
-    case OpCode::kNorN:
-      return {defineAnd(cnf, zeros), defineOr(cnf, ones)};
-    case OpCode::kXor2:
-      return xorRails(cnf, in[0], in[1]);
-    case OpCode::kXnor2:
-      return railsNot(xorRails(cnf, in[0], in[1]));
-    case OpCode::kXorN:
-    case OpCode::kXnorN: {
-      Rails acc = railsConst(false);
-      for (const Rails& r : in) acc = xorRails(cnf, acc, r);
-      return cn.opcode(op) == OpCode::kXnorN ? railsNot(acc) : acc;
+  // Encodes the rail function of compiled op `op`, reading fanin rails
+  // through `railOf(slot, gate)`. Each case mirrors the corresponding
+  // evalOp3 branch, including controlling-value X-suppression (an AND
+  // with one definite-0 input is definitely 0 whatever the others).
+  template <typename RailFn>
+  Rails op(const sim::CompiledNetlist& cn, uint32_t op, RailFn&& railOf) {
+    using sim::OpCode;
+    const std::span<const uint32_t> fan = cn.opFanins(op);
+    std::vector<CnfLit>& ones = *ones_;
+    std::vector<CnfLit>& zeros = *zeros_;
+    ones.resize(fan.size());
+    zeros.resize(fan.size());
+    for (size_t i = 0; i < fan.size(); ++i) {
+      const Rails r = railOf(i, fan[i]);
+      ones[i] = r.one;
+      zeros[i] = r.zero;
     }
-    case OpCode::kMux2: {
-      // evalOp3: s==0 -> d0, s==1 -> d1, s==X -> d0 if d0==d1 else X.
-      // The consensus term (d0 and d1 agree) covers the X-select case.
-      const Rails d0 = in[0];
-      const Rails d1 = in[1];
-      const Rails s = in[2];
-      Rails r;
-      r.one = defineOr3(cnf, defineAnd2(cnf, s.zero, d0.one),
-                        defineAnd2(cnf, s.one, d1.one),
-                        defineAnd2(cnf, d0.one, d1.one));
-      r.zero = defineOr3(cnf, defineAnd2(cnf, s.zero, d0.zero),
-                         defineAnd2(cnf, s.one, d1.zero),
-                         defineAnd2(cnf, d0.zero, d1.zero));
-      return r;
+    const auto in = [&](size_t i) { return Rails{ones[i], zeros[i]}; };
+    switch (cn.opcode(op)) {
+      case OpCode::kBuf:
+        return in(0);
+      case OpCode::kNot:
+        return railsNot(in(0));
+      case OpCode::kAnd2:
+      case OpCode::kAndN:
+        return {andOf(ones), orOf(zeros)};
+      case OpCode::kNand2:
+      case OpCode::kNandN:
+        return {orOf(zeros), andOf(ones)};
+      case OpCode::kOr2:
+      case OpCode::kOrN:
+        return {orOf(ones), andOf(zeros)};
+      case OpCode::kNor2:
+      case OpCode::kNorN:
+        return {andOf(zeros), orOf(ones)};
+      case OpCode::kXor2:
+        return xorRails(in(0), in(1));
+      case OpCode::kXnor2:
+        return railsNot(xorRails(in(0), in(1)));
+      case OpCode::kXorN:
+      case OpCode::kXnorN: {
+        Rails acc = railsConst(false);
+        for (size_t i = 0; i < fan.size(); ++i) acc = xorRails(acc, in(i));
+        return cn.opcode(op) == OpCode::kXnorN ? railsNot(acc) : acc;
+      }
+      case OpCode::kMux2: {
+        // evalOp3: s==0 -> d0, s==1 -> d1, s==X -> d0 if d0==d1 else X.
+        // The consensus term (d0 and d1 agree) covers the X-select
+        // case. or3 defines its terms last to first; the variable
+        // numbering depends on that order, and test_sat pins it.
+        const Rails d0 = in(0);
+        const Rails d1 = in(1);
+        const Rails s = in(2);
+        Rails r;
+        r.one = or3(s.zero, d0.one, s.one, d1.one, d0.one, d1.one);
+        r.zero = or3(s.zero, d0.zero, s.one, d1.zero, d0.zero, d1.zero);
+        return r;
+      }
     }
+    assert(false && "unknown opcode");
+    return railsX();
   }
-  assert(false && "unknown opcode");
-  return railsX();
-}
+
+ private:
+  // Defines y <-> AND(buf) with constant folding, consuming the buffer;
+  // returns the literal standing for the conjunction (possibly a
+  // sentinel or an input).
+  CnfLit andOfBuf() {
+    std::vector<CnfLit>& in = *buf_;
+    // Fold constants and duplicates first so trivial gates cost nothing.
+    size_t k = 0;
+    for (CnfLit l : in) {
+      if (l == kLitFalse) return kLitFalse;
+      if (l != kLitTrue) in[k++] = l;
+    }
+    in.resize(k);
+    std::sort(in.begin(), in.end());
+    in.erase(std::unique(in.begin(), in.end()), in.end());
+    for (size_t i = 0; i + 1 < in.size(); ++i) {
+      if (negateLit(in[i]) == in[i + 1]) return kLitFalse;  // l AND NOT l
+    }
+    if (in.empty()) return kLitTrue;
+    if (in.size() == 1) return in[0];
+    // y is the newest variable, so (l | ~y) and (~l... | y) come out
+    // sorted and folded as they stand.
+    const CnfLit y = posLit(cnf_->newVar());
+    for (CnfLit& l : in) {
+      const CnfLit c[] = {l, negateLit(y)};
+      cnf_->appendFolded(c);
+      l = negateLit(l);
+    }
+    in.push_back(y);
+    cnf_->appendFolded(in);
+    return y;
+  }
+
+  CnfLit andOf(std::span<const CnfLit> lits) {
+    buf_->assign(lits.begin(), lits.end());
+    return andOfBuf();
+  }
+
+  // y <-> OR(lits) by De Morgan over the AND definition.
+  CnfLit orOf(std::span<const CnfLit> lits) {
+    buf_->clear();
+    for (CnfLit l : lits) buf_->push_back(negateLit(l));
+    return negateLit(andOfBuf());
+  }
+
+  CnfLit and2(CnfLit a, CnfLit b) {
+    const CnfLit lits[] = {a, b};
+    return andOf(lits);
+  }
+
+  // OR of the two-input ANDs (a0 b0) and (a1 b1), the second defined
+  // first: the variable numbering depends on the order.
+  CnfLit or2(CnfLit a0, CnfLit b0, CnfLit a1, CnfLit b1) {
+    const CnfLit t1 = and2(a1, b1);
+    const CnfLit t0 = and2(a0, b0);
+    const CnfLit lits[] = {t0, t1};
+    return orOf(lits);
+  }
+
+  // OR of three two-input ANDs, defined last to first.
+  CnfLit or3(CnfLit a0, CnfLit b0, CnfLit a1, CnfLit b1, CnfLit a2,
+             CnfLit b2) {
+    const CnfLit t2 = and2(a2, b2);
+    const CnfLit t1 = and2(a1, b1);
+    const CnfLit t0 = and2(a0, b0);
+    const CnfLit lits[] = {t0, t1, t2};
+    return orOf(lits);
+  }
+
+  // Rails of a XOR2 in the 01X tables: definite only when both inputs
+  // are definite.
+  Rails xorRails(Rails a, Rails b) {
+    Rails r;
+    r.one = or2(a.one, b.zero, a.zero, b.one);
+    r.zero = or2(a.one, b.one, a.zero, b.zero);
+    return r;
+  }
+
+  CnfFormula* cnf_;
+  std::vector<CnfLit>* ones_;
+  std::vector<CnfLit>* zeros_;
+  std::vector<CnfLit>* buf_;
+};
 
 }  // namespace
 
 MiterEncoder::MiterEncoder(const Netlist& nl, const sim::CompiledNetlist& cn,
-                           std::vector<GateId> observed,
-                           std::vector<GateId> assignable)
-    : nl_(&nl), cn_(&cn), observed_(std::move(observed)) {
-  is_observed_.assign(nl.numGates(), 0);
-  for (GateId g : observed_) is_observed_[g.v] = 1;
-  is_assignable_.assign(nl.numGates(), 0);
+                           const std::vector<GateId>& observed,
+                           const std::vector<GateId>& assignable)
+    : nl_(&nl), cn_(&cn) {
+  const size_t n = nl.numGates();
+  is_observed_.assign(n, 0);
+  for (GateId g : observed) is_observed_[g.v] = 1;
+  is_assignable_.assign(n, 0);
   for (GateId g : assignable) is_assignable_[g.v] = 1;
-
-  // CSR of DFFs keyed by their D-driver gate: the cross-frame edges of
-  // cone growth and D-chain propagation.
-  dff_fanout_off_.assign(nl.numGates() + 1, 0);
-  for (GateId q : nl.dffs()) ++dff_fanout_off_[nl.gate(q).fanins[0].v + 1];
-  for (size_t i = 1; i < dff_fanout_off_.size(); ++i) {
-    dff_fanout_off_[i] += dff_fanout_off_[i - 1];
-  }
-  dff_fanout_.resize(nl.dffs().size());
-  std::vector<uint32_t> cursor(dff_fanout_off_.begin(),
-                               dff_fanout_off_.end() - 1);
-  for (GateId q : nl.dffs()) {
-    dff_fanout_[cursor[nl.gate(q).fanins[0].v]++] = q.v;
-  }
+  source_value_.assign(n, kFree);
+  cone_stamp_.assign(n, 0);
+  support_stamp_.assign(n, 0);
+  faulty_.resize(n);
+  dvar_.resize(n);
 }
 
 void MiterEncoder::fixSource(GateId id, bool value) {
-  fixed_[id.v] = value ? 1 : 0;
+  source_value_[id.v] = value ? 1 : 0;
   is_assignable_[id.v] = 0;
+  gm_ready_ = false;
 }
 
-FaultMiter MiterEncoder::encodeFault(const fault::Fault& f,
-                                     const MiterOptions& opts) const {
-  FaultMiter m;
-  const int frames = std::max(1, opts.frames);
+void MiterEncoder::encodeGoodMachine() {
   const size_t n = nl_->numGates();
+  gm_.clear();
+  gm_rails_.assign(n, Rails{});
+  gm_block_.assign(n, GateBlock{});
+  const auto begin = [&](uint32_t g) {
+    gm_block_[g].var_begin = static_cast<uint32_t>(gm_.numVars());
+    gm_block_[g].clause_begin = static_cast<uint32_t>(gm_.numClauses());
+  };
+  const auto end = [&](uint32_t g) {
+    gm_block_[g].var_end = static_cast<uint32_t>(gm_.numVars());
+    gm_block_[g].clause_end = static_cast<uint32_t>(gm_.numClauses());
+  };
+  // Sources in gate-index order: a fixed source is a constant, an
+  // assignable one a fresh stimulus variable, anything else X (unloaded
+  // non-scan state, unbound X sources).
+  for (uint32_t g = 0; g < n; ++g) {
+    if (cn_->opOf(GateId{g}) != kNoOp) continue;
+    begin(g);
+    Rails& r = gm_rails_[g];
+    if (source_value_[g] != kFree) {
+      r = railsConst(source_value_[g] != 0);
+    } else if (nl_->gate(GateId{g}).kind == CellKind::kConst0) {
+      r = railsConst(false);
+    } else if (nl_->gate(GateId{g}).kind == CellKind::kConst1) {
+      r = railsConst(true);
+    } else if (is_assignable_[g] != 0) {
+      const uint32_t v = gm_.newVar();
+      r = {posLit(v), negLit(v)};
+    } else {
+      r = railsX();
+    }
+    end(g);
+  }
+  // Then the op stream in its topological order.
+  GateCnf gates(gm_, ones_, zeros_, lits_);
+  for (uint32_t op = 0; op < cn_->numOps(); ++op) {
+    const uint32_t g = cn_->opGate(op);
+    begin(g);
+    const Rails r = gates.op(*cn_, op, [&](size_t, uint32_t src) {
+      return gm_rails_[src];
+    });
+    gm_rails_[g] = r;
+    end(g);
+  }
+  var_map_.resize(gm_.numVars());
+  gm_ready_ = true;
+}
+
+void MiterEncoder::nextEpoch() {
+  if (++epoch_ != 0) return;
+  // Wrapped: a stale stamp could alias the new epoch.
+  std::fill(cone_stamp_.begin(), cone_stamp_.end(), 0);
+  std::fill(support_stamp_.begin(), support_stamp_.end(), 0);
+  epoch_ = 1;
+}
+
+Rails MiterEncoder::goodRails(uint32_t g) const {
+  const auto renumber = [&](CnfLit l) {
+    if (l >= kLitTrue) return l;  // constant sentinel
+    return (var_map_[litVar(l)] << 1) | (l & 1u);
+  };
+  return {renumber(gm_rails_[g].one), renumber(gm_rails_[g].zero)};
+}
+
+const FaultMiter& MiterEncoder::encodeFault(const fault::Fault& f) {
+  if (!gm_ready_) encodeGoodMachine();
+  FaultMiter& m = miter_;
+  m.cnf.clear();
+  m.stimulus.clear();
+  m.trivially_untestable = false;
   const Gate& site_gate = nl_->gate(f.gate);
   // Site polarity, exactly as the PODEM engines force it: only sa1
   // holds the site at 1; sa0 and the transition polarities hold it 0.
@@ -225,229 +342,144 @@ FaultMiter MiterEncoder::encodeFault(const fault::Fault& f,
     m.trivially_untestable = true;  // capture of a non-scan cell is blind
     return m;
   }
-  CnfFormula& cnf = m.cnf;
-
-  // Per-frame fault output cone: comb closure from the site, re-seeded
-  // each later frame by the site (the defect is permanent) and by DFFs
-  // capturing a previous-frame cone driver.
-  std::vector<std::vector<uint8_t>> cone(frames);
-  std::vector<std::vector<uint32_t>> cone_list(frames);
+  nextEpoch();
+  cone_.clear();
   if (!m.direct) {
-    for (int t = 0; t < frames; ++t) {
-      cone[t].assign(n, 0);
-      auto grow = [&](uint32_t seed) {
-        if (cone[t][seed] != 0) return;
-        cone[t][seed] = 1;
-        cone_list[t].push_back(seed);
-        size_t cursor = cone_list[t].size() - 1;
-        while (cursor < cone_list[t].size()) {
-          const uint32_t g = cone_list[t][cursor++];
-          for (const sim::CompiledNetlist::FanoutEntry& e :
-               cn_->combFanout(g)) {
-            if (cone[t][e.gate] != 0) continue;
-            cone[t][e.gate] = 1;
-            cone_list[t].push_back(e.gate);
-          }
-        }
-      };
-      grow(f.gate.v);
-      if (t > 0) {
-        for (uint32_t g : cone_list[t - 1]) {
-          for (uint32_t q = dff_fanout_off_[g]; q < dff_fanout_off_[g + 1];
-               ++q) {
-            grow(dff_fanout_[q]);
-          }
-        }
+    // Fault output cone: combinational closure from the site.
+    cone_stamp_[f.gate.v] = epoch_;
+    cone_.push_back(f.gate.v);
+    for (size_t i = 0; i < cone_.size(); ++i) {
+      for (const sim::CompiledNetlist::FanoutEntry& e :
+           cn_->combFanout(cone_[i])) {
+        if (inCone(e.gate)) continue;
+        cone_stamp_[e.gate] = epoch_;
+        cone_.push_back(e.gate);
       }
     }
-    // Detection happens at the final capture only; an empty observed
-    // last-frame cone is a structural redundancy proof (the same check
-    // the PODEM engines make at k = 1).
-    bool any_observed = false;
-    for (uint32_t g : cone_list[frames - 1]) {
-      if (is_observed_[g] != 0) {
-        any_observed = true;
-        break;
-      }
-    }
-    if (!any_observed) {
+    // An empty observed cone is a structural redundancy proof (the same
+    // check the PODEM engines make).
+    const auto observed = [&](uint32_t g) { return is_observed_[g] != 0; };
+    if (std::none_of(cone_.begin(), cone_.end(), observed)) {
       m.trivially_untestable = true;
       return m;
     }
   }
-
-  // Transitive good-machine support of everything the miter mentions:
-  // cone gates (their good rails feed the D variables), pulled down
-  // through comb fanins in-frame and DFF D-pins across frames.
-  std::vector<std::vector<uint8_t>> needed(frames);
-  for (int t = 0; t < frames; ++t) needed[t].assign(n, 0);
-  {
-    std::vector<std::pair<int, uint32_t>> work;
-    auto require = [&](int t, uint32_t g) {
-      if (needed[t][g] != 0) return;
-      needed[t][g] = 1;
-      work.emplace_back(t, g);
-    };
-    if (m.direct) {
-      require(frames - 1, site_gate.fanins[f.pin].v);
-    } else {
-      for (int t = 0; t < frames; ++t) {
-        for (uint32_t g : cone_list[t]) require(t, g);
-      }
-    }
-    while (!work.empty()) {
-      const auto [t, g] = work.back();
-      work.pop_back();
-      const Gate& gt = nl_->gate(GateId{g});
-      if (gt.kind == CellKind::kDff) {
-        if (t > 0) require(t - 1, gt.fanins[0].v);
-        continue;
-      }
-      const uint32_t op = cn_->opOf(GateId{g});
-      if (op == sim::CompiledNetlist::kNoOp) continue;
-      for (uint32_t src : cn_->opFanins(op)) require(t, src);
-    }
-  }
-
-  // Good-machine rails, frame by frame: sources first (a frame-t DFF
-  // reads its driver's frame t-1 rails, already complete), then the op
-  // stream in its topological order.
-  std::vector<std::vector<Rails>> good(frames);
-  for (int t = 0; t < frames; ++t) good[t].assign(n, Rails{});
-  for (int t = 0; t < frames; ++t) {
-    for (uint32_t g = 0; g < n; ++g) {
-      if (needed[t][g] == 0 ||
-          cn_->opOf(GateId{g}) != sim::CompiledNetlist::kNoOp) {
-        continue;
-      }
-      const auto it = fixed_.find(g);
-      if (it != fixed_.end()) {
-        good[t][g] = railsConst(it->second != 0);
-        continue;
-      }
-      const Gate& gt = nl_->gate(GateId{g});
-      switch (gt.kind) {
-        case CellKind::kConst0:
-          good[t][g] = railsConst(false);
-          break;
-        case CellKind::kConst1:
-          good[t][g] = railsConst(true);
-          break;
-        case CellKind::kDff:
-          if (t > 0) {
-            good[t][g] = good[t - 1][gt.fanins[0].v];
-          } else if (is_assignable_[g] != 0) {
-            const uint32_t v = cnf.newVar();
-            m.stimulus.push_back({GateId{g}, 0, v});
-            good[t][g] = {posLit(v), negLit(v)};
-          } else {
-            good[t][g] = railsX();  // unloaded non-scan state
-          }
-          break;
-        default:
-          if (is_assignable_[g] != 0) {
-            const uint32_t v = cnf.newVar();
-            m.stimulus.push_back({GateId{g}, t, v});
-            good[t][g] = {posLit(v), negLit(v)};
-          } else {
-            good[t][g] = railsX();  // unbound X source
-          }
-          break;
-      }
-    }
-    for (uint32_t op = 0; op < cn_->numOps(); ++op) {
-      const uint32_t g = cn_->opGate(op);
-      if (needed[t][g] == 0) continue;
-      good[t][g] = encodeOp(cnf, *cn_, op, [&](size_t, uint32_t src) {
-        return good[t][src];
-      });
-    }
-  }
-
+  copySupport(f, m.direct);
   if (m.direct) {
     // Justification-only: the capture itself observes the D pin, so the
     // miter is the good machine plus a unit clause holding the driver
-    // at the activation value in the load frame.
-    const Rails r = good[frames - 1][site_gate.fanins[f.pin].v];
-    cnf.addClause({faulty_one ? r.zero : r.one});
+    // at the activation value.
+    const Rails r = goodRails(site_gate.fanins[f.pin].v);
+    m.cnf.addClause({faulty_one ? r.zero : r.one});
     return m;
   }
-
-  // Faulty-machine rails for cone gates; everything outside the cone
-  // aliases the good machine.
-  const Rails site_forced = railsConst(faulty_one);
-  std::vector<std::vector<Rails>> faulty(frames);
-  for (int t = 0; t < frames; ++t) faulty[t].assign(n, Rails{});
-  for (int t = 0; t < frames; ++t) {
-    if (t > 0) {
-      for (uint32_t g : cone_list[t]) {
-        const Gate& gt = nl_->gate(GateId{g});
-        if (gt.kind == CellKind::kDff) {
-          faulty[t][g] = faulty[t - 1][gt.fanins[0].v];
-        }
-      }
-    }
-    if (f.pin == fault::kOutputPin) faulty[t][f.gate.v] = site_forced;
-    for (uint32_t op = 0; op < cn_->numOps(); ++op) {
-      const uint32_t g = cn_->opGate(op);
-      if (cone[t][g] == 0) continue;
-      if (f.pin == fault::kOutputPin && g == f.gate.v) continue;
-      faulty[t][g] =
-          encodeOp(cnf, *cn_, op, [&](size_t slot, uint32_t src) {
-            if (g == f.gate.v && slot == f.pin) return site_forced;
-            return cone[t][src] != 0 ? faulty[t][src] : good[t][src];
-          });
-    }
-  }
-
-  // D variables: d(g, t) asserts both machines definite and opposite on
-  // net g in frame t. Soundness needs only the d -> difference
-  // direction; the chain/seed/detection clauses below force a
-  // propagation path to exist, which is where the pruning comes from.
-  std::vector<std::vector<uint32_t>> dvar(frames);
-  for (int t = 0; t < frames; ++t) dvar[t].assign(n, 0);
-  for (int t = 0; t < frames; ++t) {
-    for (uint32_t g : cone_list[t]) dvar[t][g] = cnf.newVar();
-  }
-  for (int t = 0; t < frames; ++t) {
-    for (uint32_t g : cone_list[t]) {
-      const CnfLit d = posLit(dvar[t][g]);
-      const Rails& gd = good[t][g];
-      const Rails& fd = faulty[t][g];
-      cnf.addClause({negateLit(d), gd.one, gd.zero});
-      cnf.addClause({negateLit(d), fd.one, fd.zero});
-      cnf.addClause({negateLit(d), negateLit(gd.one), negateLit(fd.one)});
-      cnf.addClause({negateLit(d), negateLit(gd.zero), negateLit(fd.zero)});
-      // Chain: a difference anywhere but an observed final-frame net
-      // must reach a cone fanout, possibly through a DFF capture.
-      if (t == frames - 1 && is_observed_[g] != 0) continue;
-      std::vector<CnfLit> chain{negateLit(d)};
-      for (const sim::CompiledNetlist::FanoutEntry& e : cn_->combFanout(g)) {
-        if (cone[t][e.gate] != 0) chain.push_back(posLit(dvar[t][e.gate]));
-      }
-      if (t + 1 < frames) {
-        for (uint32_t q = dff_fanout_off_[g]; q < dff_fanout_off_[g + 1];
-             ++q) {
-          const uint32_t qd = dff_fanout_[q];
-          if (cone[t + 1][qd] != 0) {
-            chain.push_back(posLit(dvar[t + 1][qd]));
-          }
-        }
-      }
-      cnf.addClause(chain);
-    }
-  }
-  // Activation seed (the site must differ in some frame) and detection
-  // (some observed final-frame net must differ).
-  std::vector<CnfLit> seed;
-  for (int t = 0; t < frames; ++t) seed.push_back(posLit(dvar[t][f.gate.v]));
-  cnf.addClause(seed);
-  std::vector<CnfLit> det;
-  for (uint32_t g : cone_list[frames - 1]) {
-    if (is_observed_[g] != 0) det.push_back(posLit(dvar[frames - 1][g]));
-  }
-  cnf.addClause(det);
+  encodeFaultyCone(f, faulty_one);
+  encodeDChain(f);
   return m;
+}
+
+void MiterEncoder::copySupport(const fault::Fault& f, bool direct) {
+  // Transitive good-machine support of everything the miter mentions:
+  // cone gates (their good rails feed the D variables) pulled down
+  // through comb fanins. support_ doubles as the worklist.
+  support_.clear();
+  const auto require = [&](uint32_t g) {
+    if (support_stamp_[g] == epoch_) return;
+    support_stamp_[g] = epoch_;
+    support_.push_back(g);
+  };
+  if (direct) {
+    require(nl_->gate(f.gate).fanins[f.pin].v);
+  } else {
+    for (uint32_t g : cone_) require(g);
+  }
+  for (size_t i = 0; i < support_.size(); ++i) {
+    const uint32_t op = cn_->opOf(GateId{support_[i]});
+    if (op == kNoOp) continue;
+    for (uint32_t src : cn_->opFanins(op)) require(src);
+  }
+  // Keep the gates owning variables, in global variable order — the
+  // order a per-target encode of this support allocates them in — and
+  // renumber their variables densely.
+  std::erase_if(support_, [&](uint32_t g) {
+    return gm_block_[g].var_begin == gm_block_[g].var_end;
+  });
+  std::sort(support_.begin(), support_.end(), [&](uint32_t a, uint32_t b) {
+    return gm_block_[a].var_begin < gm_block_[b].var_begin;
+  });
+  uint32_t next = 0;
+  for (uint32_t g : support_) {
+    if (cn_->opOf(GateId{g}) == kNoOp) {
+      miter_.stimulus.push_back({GateId{g}, next});
+    }
+    const GateBlock& b = gm_block_[g];
+    for (uint32_t v = b.var_begin; v < b.var_end; ++v) var_map_[v] = next++;
+  }
+  miter_.cnf.newVars(next);
+  // The renumbering is monotone, so every copied clause stays sorted
+  // and folded.
+  for (uint32_t g : support_) {
+    const GateBlock& b = gm_block_[g];
+    miter_.cnf.appendRenamed(gm_, b.clause_begin, b.clause_end, var_map_);
+  }
+}
+
+void MiterEncoder::encodeFaultyCone(const fault::Fault& f, bool faulty_one) {
+  // Faulty-machine rails for cone gates, in op order; everything
+  // outside the cone aliases the good machine.
+  cone_ops_.clear();
+  for (uint32_t g : cone_) {
+    faulty_[g] = railsX();
+    const uint32_t op = cn_->opOf(GateId{g});
+    if (op != kNoOp) cone_ops_.push_back(op);
+  }
+  std::sort(cone_ops_.begin(), cone_ops_.end());
+  const Rails site_forced = railsConst(faulty_one);
+  const bool output_site = f.pin == fault::kOutputPin;
+  if (output_site) faulty_[f.gate.v] = site_forced;
+  GateCnf gates(miter_.cnf, ones_, zeros_, lits_);
+  for (uint32_t op : cone_ops_) {
+    const uint32_t g = cn_->opGate(op);
+    if (output_site && g == f.gate.v) continue;
+    faulty_[g] = gates.op(*cn_, op, [&](size_t slot, uint32_t src) {
+      if (g == f.gate.v && slot == f.pin) return site_forced;
+      return inCone(src) ? faulty_[src] : goodRails(src);
+    });
+  }
+}
+
+void MiterEncoder::encodeDChain(const fault::Fault& f) {
+  CnfFormula& cnf = miter_.cnf;
+  // D variables: d(g) asserts both machines definite and opposite on
+  // net g. Soundness needs only the d -> difference direction; the
+  // chain/seed/detection clauses below force a propagation path to
+  // exist, which is where the pruning comes from.
+  for (uint32_t g : cone_) dvar_[g] = cnf.newVar();
+  for (uint32_t g : cone_) {
+    const CnfLit d = posLit(dvar_[g]);
+    const Rails gd = goodRails(g);
+    const Rails fd = faulty_[g];
+    cnf.addClause({negateLit(d), gd.one, gd.zero});
+    cnf.addClause({negateLit(d), fd.one, fd.zero});
+    cnf.addClause({negateLit(d), negateLit(gd.one), negateLit(fd.one)});
+    cnf.addClause({negateLit(d), negateLit(gd.zero), negateLit(fd.zero)});
+    // Chain: a difference anywhere but an observed net must reach a
+    // cone fanout.
+    if (is_observed_[g] != 0) continue;
+    lits_.assign(1, negateLit(d));
+    for (const sim::CompiledNetlist::FanoutEntry& e : cn_->combFanout(g)) {
+      if (inCone(e.gate)) lits_.push_back(posLit(dvar_[e.gate]));
+    }
+    cnf.addClause(lits_);
+  }
+  // Activation seed (the site must differ) and detection (some
+  // observed net must differ).
+  cnf.addClause({posLit(dvar_[f.gate.v])});
+  lits_.clear();
+  for (uint32_t g : cone_) {
+    if (is_observed_[g] != 0) lits_.push_back(posLit(dvar_[g]));
+  }
+  cnf.addClause(lits_);
 }
 
 }  // namespace lbist::atpg

@@ -15,27 +15,33 @@
 // fault cone, one faulty machine over the fault output cone only (nets
 // outside the cone share the good machine's rails), and difference (D)
 // variables with forward D-chain propagation clauses: the fault site
-// must differ in some timeframe, a difference on a non-observed net
-// must reach one of its cone fanouts, and some observed net of the
-// final timeframe must differ. The D-chain is equisatisfiable with the
-// plain "some observed net differs" miter — any detected difference
-// traces back to the site through definitely-differing nets, because a
-// gate whose fanins are all 01X-compatible between the machines cannot
-// produce definite opposite outputs — and prunes the search hard.
+// must differ, a difference on a non-observed net must reach one of its
+// cone fanouts, and some observed net must differ. The D-chain is
+// equisatisfiable with the plain "some observed net differs" miter —
+// any detected difference traces back to the site through
+// definitely-differing nets, because a gate whose fanins are all
+// 01X-compatible between the machines cannot produce definite opposite
+// outputs — and prunes the search hard.
 //
-// k-frame timeframe expansion unrolls the combinational core k times:
-// DFF outputs in frame t > 0 alias the previous frame's D-driver rails,
-// scan-cell outputs are assignable in frame 0 (scan load), primary
-// inputs are fresh variables in every frame, non-scan state is X in
-// frame 0, the stuck-at site is forced in every frame, and detection is
-// asserted on the final frame's observed set (scan capture). Frames = 1
-// reproduces the PODEM search space exactly.
+// The search space is one combinational frame, exactly PODEM's: scan
+// cells and primary inputs are assignable, non-scan state and unbound
+// sources are X, and detection is asserted at the capture-visible nets.
+//
+// The good machine does not depend on the fault, so MiterEncoder
+// encodes it once for the whole netlist (lazily, after the last
+// fixSource) and each encodeFault copies only the target's support out
+// of it under an order-preserving variable renumbering. Variables are
+// numbered sources-by-gate-index then ops-in-op-order, and every support
+// keeps that relative order, so the copied clauses are literal for
+// literal what a per-target encode of the same support would emit.
+// All per-target scratch (cone, support, faulty rails, D variables, the
+// formula itself) is encoder-owned and epoch-stamped, so a steady-state
+// encode walks only the cone and support and allocates nothing.
 #pragma once
 
 #include <cstdint>
 #include <initializer_list>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "fault/fault.hpp"
@@ -82,6 +88,13 @@ class CnfFormula {
   /// Allocates a fresh variable and returns its index.
   uint32_t newVar() { return num_vars_++; }
 
+  /// Allocates `count` consecutive variables and returns the first.
+  uint32_t newVars(uint32_t count) {
+    const uint32_t first = num_vars_;
+    num_vars_ += count;
+    return first;
+  }
+
   /// Adds one clause (with the folding described on the class).
   void addClause(std::span<const CnfLit> lits);
 
@@ -89,6 +102,21 @@ class CnfFormula {
   void addClause(std::initializer_list<CnfLit> lits) {
     addClause(std::span<const CnfLit>(lits.begin(), lits.size()));
   }
+
+  /// Appends a clause that is already in folded form: strictly
+  /// increasing literals, no sentinel, not a tautology, not empty.
+  void appendFolded(std::span<const CnfLit> lits);
+
+  /// Appends clauses [first, last) of `src` with every variable v
+  /// renamed to var_map[v]. The renaming must preserve variable order on
+  /// the variables those clauses use, so each copy stays sorted and
+  /// folded exactly as `src` stored it.
+  void appendRenamed(const CnfFormula& src, size_t first, size_t last,
+                     std::span<const uint32_t> var_map);
+
+  /// Empties the formula (no variables, no clauses) but keeps the
+  /// storage, so the next formula of similar size allocates nothing.
+  void clear();
 
   /// Number of variables allocated so far.
   [[nodiscard]] size_t numVars() const { return num_vars_; }
@@ -110,19 +138,20 @@ class CnfFormula {
   bool contradiction_ = false;
 };
 
-/// Timeframe-expansion depth for encodeFault (1 = pure combinational,
-/// the PODEM-equivalent search space).
-struct MiterOptions {
-  int frames = 1;
+/// Dual rails of one net: `one` true means definitely 1, `zero` true
+/// means definitely 0, neither true means X. Either rail may be a
+/// constant sentinel. The encoder keeps both rails from ever being
+/// simultaneously true (sources are single-rail or constant; every gate
+/// function preserves it).
+struct Rails {
+  CnfLit one = kLitFalse;
+  CnfLit zero = kLitFalse;
 };
 
 /// One free stimulus variable of an encoded miter: the model value of
-/// `var` is the value source `source` takes in timeframe `frame`.
-/// Scan-cell sources only appear with frame 0 (scan load); primary
-/// inputs appear once per frame.
+/// `var` is the value source `source` takes in the test.
 struct StimulusVar {
   GateId source;
-  int frame = 0;
   uint32_t var = 0;
 };
 
@@ -139,9 +168,12 @@ struct FaultMiter {
 };
 
 /// Builds FaultMiter formulas for one netlist. Construction snapshots
-/// the observed/assignable sets and the DFF D-driver map; encodeFault
-/// is const and allocation-free of shared state, so one encoder can be
-/// shared by any number of sequential encode calls on a shard.
+/// the observed/assignable sets; the first encodeFault after the last
+/// fixSource encodes the whole good machine once, and every encodeFault
+/// reuses encoder-owned scratch. One encoder therefore serves one
+/// thread; give each shard its own. Results are deterministic in the
+/// construction arguments, the fixed sources and the fault alone —
+/// buffers are reused across calls, state never is.
 class MiterEncoder {
  public:
   /// `cn` must be the compiled form of `nl` and outlive the encoder.
@@ -149,28 +181,73 @@ class MiterEncoder {
   /// D-drivers), `assignable` the controllable sources (PIs plus scan
   /// cell outputs) — the same sets the PODEM engines take.
   MiterEncoder(const Netlist& nl, const sim::CompiledNetlist& cn,
-               std::vector<GateId> observed, std::vector<GateId> assignable);
+               const std::vector<GateId>& observed,
+               const std::vector<GateId>& assignable);
 
-  /// Pins source `id` to `value` in every frame of every later encode
-  /// (test-mode constants); removes it from the assignable set.
+  /// Pins source `id` to `value` in every later encode (test-mode
+  /// constants); removes it from the assignable set.
   void fixSource(GateId id, bool value);
 
   /// Encodes the dual-rail miter of `f` (see file comment). Stuck-at-1
   /// forces the site to 1; every other polarity forces it to 0 — the
-  /// same site semantics the PODEM engines use.
-  [[nodiscard]] FaultMiter encodeFault(const fault::Fault& f,
-                                       const MiterOptions& opts = {}) const;
+  /// same site semantics the PODEM engines use. The returned miter is
+  /// encoder-owned and valid until the next encodeFault or fixSource.
+  [[nodiscard]] const FaultMiter& encodeFault(const fault::Fault& f);
 
  private:
+  void encodeGoodMachine();
+  void nextEpoch();
+  [[nodiscard]] bool inCone(uint32_t g) const {
+    return cone_stamp_[g] == epoch_;
+  }
+  // Good-machine rails of support gate `g` in the current target's
+  // variable numbering.
+  [[nodiscard]] Rails goodRails(uint32_t g) const;
+  void copySupport(const fault::Fault& f, bool direct);
+  void encodeFaultyCone(const fault::Fault& f, bool faulty_one);
+  void encodeDChain(const fault::Fault& f);
+
+  static constexpr uint8_t kFree = 2;  // source_value_: not fixed
+
   const Netlist* nl_;
   const sim::CompiledNetlist* cn_;
   std::vector<uint8_t> is_observed_;
   std::vector<uint8_t> is_assignable_;
-  std::vector<GateId> observed_;
-  // DFFs fed by each driver gate (CSR), for cross-frame D-chain edges.
-  std::vector<uint32_t> dff_fanout_off_;
-  std::vector<uint32_t> dff_fanout_;
-  std::unordered_map<uint32_t, uint8_t> fixed_;
+  std::vector<uint8_t> source_value_;  // 0 / 1 fixed, kFree otherwise
+
+  // Where one gate's good-machine encoding lives in gm_: the contiguous
+  // variables [var_begin, var_end) and clauses [clause_begin,
+  // clause_end).
+  struct GateBlock {
+    uint32_t var_begin = 0;
+    uint32_t var_end = 0;
+    uint32_t clause_begin = 0;
+    uint32_t clause_end = 0;
+  };
+
+  // The whole-netlist good machine, in global variable numbering.
+  bool gm_ready_ = false;
+  CnfFormula gm_;
+  std::vector<Rails> gm_rails_;
+  std::vector<GateBlock> gm_block_;
+
+  // Per-target scratch. Membership is "stamp == epoch_", so starting a
+  // target clears nothing; faulty_ and dvar_ are written for every cone
+  // gate before they are read, and var_map_ for every support variable.
+  uint32_t epoch_ = 0;
+  std::vector<uint32_t> cone_stamp_;
+  std::vector<uint32_t> support_stamp_;
+  std::vector<uint32_t> cone_;      // breadth-first from the site
+  std::vector<uint32_t> cone_ops_;  // ops of the cone gates, ascending
+  std::vector<uint32_t> support_;   // support gates owning variables
+  std::vector<uint32_t> var_map_;   // global good-machine var -> local
+  std::vector<Rails> faulty_;
+  std::vector<uint32_t> dvar_;
+  // Gate-encoding scratch: fanin rails, then clause literals.
+  std::vector<CnfLit> ones_;
+  std::vector<CnfLit> zeros_;
+  std::vector<CnfLit> lits_;
+  FaultMiter miter_;
 };
 
 }  // namespace lbist::atpg

@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <numeric>
 #include <stdexcept>
 #include <utility>
 
@@ -43,57 +44,106 @@ bool CdclSolver::litFalse(CnfLit l) const {
   return assign_[litVar(l)] == (litSign(l) ? 1 : 0);
 }
 
-CdclSolver::CdclSolver(const CnfFormula& cnf) {
+void CdclSolver::load(const CnfFormula& cnf) {
   num_vars_ = static_cast<uint32_t>(cnf.numVars());
   assign_.assign(num_vars_, 2);
   phase_.assign(num_vars_, 0);
   level_.assign(num_vars_, 0);
   reason_.assign(num_vars_, kNoClause);
   activity_.assign(num_vars_, 0.0);
-  heap_pos_.assign(num_vars_, kNoPos);
   seen_.assign(num_vars_, 0);
-  watches_.assign(size_t{num_vars_} * 2, {});
-  for (uint32_t v = 0; v < num_vars_; ++v) heapInsert(v);
+  // With every activity 0 and ties going to the lower index, index
+  // order is already a heap — the one inserting the variables one by
+  // one in that order builds.
+  heap_.resize(num_vars_);
+  std::iota(heap_.begin(), heap_.end(), 0u);
+  heap_pos_.resize(num_vars_);
+  std::iota(heap_pos_.begin(), heap_pos_.end(), 0u);
+  trail_.clear();
+  trail_lim_.clear();
+  qhead_ = 0;
+  var_inc_ = 1.0;
+  unsat_ = false;
+  stats_ = SatStats{};
+  arena_.clear();
+  clauses_.clear();
+  watches_.assign(size_t{num_vars_} * 2, WatchList{});
+  wpool_end_ = 0;
   if (cnf.contradiction()) {
     unsat_ = true;
     return;
   }
-  // Attach every clause before assigning anything, so the two-watch
-  // invariant (no watched literal false below the current level) holds
-  // by construction; the pending units are enqueued afterwards and
-  // propagate through the watch machinery in solve().
-  std::vector<CnfLit> units;
-  std::vector<CnfLit> tmp;
+  // Copy the non-unit clauses into the arena in formula order, counting
+  // each literal's initial watchers.
   for (size_t i = 0; i < cnf.numClauses(); ++i) {
     const std::span<const CnfLit> c = cnf.clause(i);
-    if (c.size() == 1) {
-      units.push_back(c[0]);
-      continue;
-    }
-    tmp.assign(c.begin(), c.end());
-    (void)addClauseInternal(tmp, false);
+    if (c.size() == 1) continue;
+    clauses_.push_back({static_cast<uint32_t>(arena_.size()),
+                        static_cast<uint32_t>(c.size())});
+    arena_.insert(arena_.end(), c.begin(), c.end());
+    ++watches_[c[0]].cap;
+    ++watches_[c[1]].cap;
   }
-  for (CnfLit u : units) {
-    if (litFalse(u)) {
+  // Lay each literal's watch list out once, with room for half as many
+  // watchers again as it starts with (plus one) for the search to move
+  // in. Twice the room bought no speed and cost peak memory.
+  for (WatchList& wl : watches_) {
+    wl.off = wpool_end_;
+    wl.cap += wl.cap / 2 + 1;
+    wpool_end_ += wl.cap;
+  }
+  if (wpool_.size() < wpool_end_) wpool_.resize(wpool_end_);
+  // Attach every clause, in clause order, before assigning anything, so
+  // the two-watch invariant (no watched literal false below the current
+  // level) holds by construction; the pending units are enqueued
+  // afterwards, also in clause order, and propagate through the watch
+  // machinery in solve().
+  for (uint32_t cref = 0; cref < clauses_.size(); ++cref) {
+    const CnfLit* l = arena_.data() + clauses_[cref].off;
+    WatchList& w0 = watches_[l[0]];
+    wpool_[w0.off + w0.size++] = {cref, l[1]};
+    WatchList& w1 = watches_[l[1]];
+    wpool_[w1.off + w1.size++] = {cref, l[0]};
+  }
+  for (size_t i = 0; i < cnf.numClauses(); ++i) {
+    const std::span<const CnfLit> c = cnf.clause(i);
+    if (c.size() != 1) continue;
+    if (litFalse(c[0])) {
       unsat_ = true;
       return;
     }
-    if (!litTrue(u)) enqueue(u, kNoClause);
+    if (!litTrue(c[0])) enqueue(c[0], kNoClause);
   }
 }
 
-uint32_t CdclSolver::addClauseInternal(std::vector<CnfLit>& lits,
-                                       bool learnt) {
+uint32_t CdclSolver::addLearnt(std::span<const CnfLit> lits) {
   assert(lits.size() >= 2);
   const uint32_t cref = static_cast<uint32_t>(clauses_.size());
   clauses_.push_back({static_cast<uint32_t>(arena_.size()),
                       static_cast<uint32_t>(lits.size())});
   arena_.insert(arena_.end(), lits.begin(), lits.end());
-  const CnfLit* l = arena_.data() + clauses_.back().off;
-  watches_[l[0]].push_back({cref, l[1]});
-  watches_[l[1]].push_back({cref, l[0]});
-  if (learnt) ++stats_.learned;
+  pushWatch(lits[0], {cref, lits[1]});
+  pushWatch(lits[1], {cref, lits[0]});
+  ++stats_.learned;
   return cref;
+}
+
+void CdclSolver::pushWatch(CnfLit l, Watcher w) {
+  WatchList& wl = watches_[l];
+  if (wl.size == wl.cap) {
+    // Full: double the room, in place when this list ends the pool,
+    // else in a fresh slice at the end.
+    const uint32_t cap = std::max<uint32_t>(4, wl.cap * 2);
+    const uint32_t off = wl.off + wl.cap == wpool_end_ ? wl.off : wpool_end_;
+    wpool_end_ = off + cap;
+    if (wpool_.size() < wpool_end_) wpool_.resize(wpool_end_);
+    if (off != wl.off) {
+      std::copy_n(wpool_.begin() + wl.off, wl.size, wpool_.begin() + off);
+    }
+    wl.off = off;
+    wl.cap = cap;
+  }
+  wpool_[wl.off + wl.size++] = w;
 }
 
 void CdclSolver::enqueue(CnfLit l, uint32_t reason) {
@@ -110,49 +160,53 @@ uint32_t CdclSolver::propagate() {
     const CnfLit p = trail_[qhead_++];
     ++stats_.propagations;
     const CnfLit not_p = negateLit(p);
-    std::vector<Watcher>& ws = watches_[not_p];
-    size_t i = 0;
-    size_t j = 0;
-    while (i < ws.size()) {
-      const Watcher w = ws[i++];
+    // Watches only move to non-false literals, never to not_p, so this
+    // list keeps its slice while the loop pushes to others; the pool
+    // itself may reallocate, hence indices rather than pointers.
+    WatchList& ws = watches_[not_p];
+    const uint32_t n = ws.size;
+    uint32_t i = 0;
+    uint32_t j = 0;
+    while (i < n) {
+      const Watcher w = wpool_[ws.off + i++];
       if (litTrue(w.blocker)) {
-        ws[j++] = w;
+        wpool_[ws.off + j++] = w;
         continue;
       }
       const ClauseRef cr = clauses_[w.cref];
       CnfLit* lits = arena_.data() + cr.off;
       if (lits[0] == not_p) std::swap(lits[0], lits[1]);
       if (litTrue(lits[0])) {
-        ws[j++] = {w.cref, lits[0]};
+        wpool_[ws.off + j++] = {w.cref, lits[0]};
         continue;
       }
       bool moved = false;
       for (uint32_t k = 2; k < cr.size; ++k) {
         if (!litFalse(lits[k])) {
           std::swap(lits[1], lits[k]);
-          watches_[lits[1]].push_back({w.cref, lits[0]});
+          pushWatch(lits[1], {w.cref, lits[0]});
           moved = true;
           break;
         }
       }
       if (moved) continue;
       // Unit under the current assignment, or conflicting.
-      ws[j++] = {w.cref, lits[0]};
+      wpool_[ws.off + j++] = {w.cref, lits[0]};
       if (litFalse(lits[0])) {
-        while (i < ws.size()) ws[j++] = ws[i++];
-        ws.resize(j);
+        while (i < n) wpool_[ws.off + j++] = wpool_[ws.off + i++];
+        ws.size = j;
         qhead_ = trail_.size();
         return w.cref;
       }
       enqueue(lits[0], w.cref);
     }
-    ws.resize(j);
+    ws.size = j;
   }
   return kNoClause;
 }
 
-void CdclSolver::analyze(uint32_t confl, std::vector<CnfLit>& learnt,
-                         uint32_t& bt_level) {
+void CdclSolver::analyze(uint32_t confl, uint32_t& bt_level) {
+  std::vector<CnfLit>& learnt = learnt_;
   learnt.clear();
   learnt.push_back(0);  // slot for the asserting (1-UIP) literal
   const uint32_t cur_level = static_cast<uint32_t>(trail_lim_.size());
@@ -299,7 +353,6 @@ SatResult CdclSolver::solve(uint64_t conflict_limit) {
   uint64_t restart_round = 0;
   uint64_t restart_budget = luby(restart_round) * kRestartUnit;
   uint64_t conflicts_this_round = 0;
-  std::vector<CnfLit> learnt;
   while (true) {
     const uint32_t confl = propagate();
     if (confl != kNoClause) {
@@ -311,13 +364,13 @@ SatResult CdclSolver::solve(uint64_t conflict_limit) {
         return SatResult::kUnsat;
       }
       uint32_t bt_level = 0;
-      analyze(confl, learnt, bt_level);
+      analyze(confl, bt_level);
       cancelUntil(bt_level);
-      if (learnt.size() == 1) {
-        enqueue(learnt[0], kNoClause);
+      if (learnt_.size() == 1) {
+        enqueue(learnt_[0], kNoClause);
       } else {
-        const uint32_t cref = addClauseInternal(learnt, true);
-        enqueue(learnt[0], cref);
+        const uint32_t cref = addLearnt(learnt_);
+        enqueue(learnt_[0], cref);
       }
       decayVarActivity();
       if (conflicts_here >= conflict_limit) {
@@ -346,7 +399,7 @@ SatEngine::SatEngine(const Netlist& nl, std::vector<GateId> observed,
     : nl_(&nl),
       lev_(nl),
       cn_(nl, lev_),
-      enc_(nl, cn_, std::move(observed), std::move(assignable)),
+      enc_(nl, cn_, observed, assignable),
       opts_(opts) {}
 
 void SatEngine::fixSource(GateId id, bool value) {
@@ -354,19 +407,6 @@ void SatEngine::fixSource(GateId id, bool value) {
 }
 
 AtpgStatus SatEngine::generate(const fault::Fault& f, TestCube& out) {
-  SeqTest seq;
-  const AtpgStatus st = solveMiter(f, 1, seq);
-  if (st == AtpgStatus::kDetected) out = std::move(seq.frame_cubes[0]);
-  return st;
-}
-
-AtpgStatus SatEngine::generateSequential(const fault::Fault& f, int frames,
-                                         SeqTest& out) {
-  return solveMiter(f, frames, out);
-}
-
-AtpgStatus SatEngine::solveMiter(const fault::Fault& f, int frames,
-                                 SeqTest& out) {
   OBS_SPAN("atpg.sat.solve");
   OBS_COUNT("atpg.sat.solves", 1);
   ++stats_.solves;
@@ -387,35 +427,43 @@ AtpgStatus SatEngine::solveMiter(const fault::Fault& f, int frames,
     throw std::runtime_error("injected solver failure on target '" +
                              f.describe(*nl_) + "'");
   }
-  MiterOptions mo;
-  mo.frames = frames;
-  const FaultMiter m = enc_.encodeFault(f, mo);
-  if (m.trivially_untestable || m.cnf.contradiction()) {
+  const FaultMiter* m = nullptr;
+  {
+    OBS_SPAN("atpg.sat.encode");
+    m = &enc_.encodeFault(f);
+  }
+  if (m->trivially_untestable || m->cnf.contradiction()) {
     OBS_COUNT("atpg.sat.redundant", 1);
     ++stats_.redundant;
     return AtpgStatus::kUntestable;
   }
-  CdclSolver solver(m.cnf);
-  const SatResult r = solver.solve(opts_.conflict_limit);
-  last_conflicts_ = solver.stats().conflicts;
-  stats_.conflicts += solver.stats().conflicts;
-  stats_.learned += solver.stats().learned;
+  {
+    OBS_SPAN("atpg.sat.load");
+    solver_.load(m->cnf);
+  }
+  SatResult r = SatResult::kUnknown;
+  {
+    OBS_SPAN("atpg.sat.search");
+    r = solver_.solve(opts_.conflict_limit);
+  }
+  const SatStats& ss = solver_.stats();
+  last_conflicts_ = ss.conflicts;
+  stats_.conflicts += ss.conflicts;
+  stats_.learned += ss.learned;
   stats_.arena_peak_bytes =
-      std::max<uint64_t>(stats_.arena_peak_bytes, solver.arenaBytes());
-  OBS_COUNT("atpg.sat.conflicts", solver.stats().conflicts);
-  OBS_COUNT("atpg.sat.learned", solver.stats().learned);
+      std::max<uint64_t>(stats_.arena_peak_bytes, solver_.arenaBytes());
+  OBS_COUNT("atpg.sat.conflicts", ss.conflicts);
+  OBS_COUNT("atpg.sat.learned", ss.learned);
   switch (r) {
-    case SatResult::kSat: {
-      out.frame_cubes.assign(static_cast<size_t>(frames), TestCube{});
-      for (const StimulusVar& sv : m.stimulus) {
-        TestCube& cube = out.frame_cubes[static_cast<size_t>(sv.frame)];
-        cube.care_sources.push_back(sv.source);
-        cube.care_values.push_back(solver.modelValue(sv.var) ? 1 : 0);
+    case SatResult::kSat:
+      out = TestCube{};
+      for (const StimulusVar& sv : m->stimulus) {
+        out.care_sources.push_back(sv.source);
+        out.care_values.push_back(solver_.modelValue(sv.var) ? 1 : 0);
       }
       OBS_COUNT("atpg.sat.cubes", 1);
       ++stats_.cubes;
       return AtpgStatus::kDetected;
-    }
     case SatResult::kUnsat:
       OBS_COUNT("atpg.sat.redundant", 1);
       ++stats_.redundant;

@@ -1,14 +1,14 @@
 // SAT-based ATPG: a self-contained CDCL solver plus a PodemEngine-
 // compatible wrapper over the dual-rail miter encoder (atpg/cnf.hpp).
 //
-// This is the hard-tail engine ROADMAP item 2 calls for: PODEM's
-// chronological backtracking enumerates exponentially on reconvergent
-// targets and aborts at its backtrack budget, while conflict-driven
-// clause learning refutes or solves the same miters in a handful of
-// conflicts. The top-up driver escalates PODEM-aborted targets here
-// (TopUpConfig::sat_escalate); an UNSAT answer is a proof that no
-// three-valued test exists and is promoted to the proved-redundant
-// fault status, never the soft "untestable under this budget" abort.
+// This is the hard-tail engine: PODEM's chronological backtracking
+// enumerates exponentially on reconvergent targets and aborts at its
+// backtrack budget, while conflict-driven clause learning refutes or
+// solves the same miters in a handful of conflicts. The top-up driver
+// escalates PODEM-aborted targets here (TopUpConfig::sat_escalate); an
+// UNSAT answer is a proof that no three-valued test exists and is
+// promoted to the proved-redundant fault status, never the soft
+// "untestable under this budget" abort.
 //
 // The solver is deliberately minimal but real: two-literal watches with
 // blockers, 1-UIP conflict analysis, VSIDS decision order, phase
@@ -17,9 +17,17 @@
 // every solve is a pure function of the formula and the conflict
 // budget. That purity is what lets the escalation path stay
 // bit-identical across top-up worker counts.
+//
+// Both halves are reusable: CdclSolver::load resets the search state
+// and reloads a formula into the arrays of earlier loads, and a
+// SatEngine keeps one encoder and one solver for its whole life. Only
+// buffers carry over from one target to the next — no learned clause,
+// activity or phase does — so every generate() answers exactly as a
+// fresh engine would, whatever it solved before.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "atpg/cnf.hpp"
@@ -38,7 +46,7 @@ enum class SatResult : uint8_t {
   kUnknown,  // conflict budget exhausted
 };
 
-/// Deterministic work tallies of one CdclSolver instance.
+/// Deterministic work tallies of one CdclSolver load.
 struct SatStats {
   uint64_t conflicts = 0;
   uint64_t decisions = 0;
@@ -47,19 +55,28 @@ struct SatStats {
   uint64_t restarts = 0;
 };
 
-/// The CDCL solver described in the file comment. One instance solves
-/// one formula; construction loads the clauses, solve() runs the
-/// search. Deterministic by construction: identical formulas and
-/// budgets always produce identical verdicts, models, and stats.
+/// The CDCL solver described in the file comment. load() resets it and
+/// loads one formula, solve() runs the search; one instance serves any
+/// number of formulas in turn (a default-constructed one holds none).
+/// Deterministic by construction: identical formulas and budgets always
+/// produce identical verdicts, models, and stats, whatever the instance
+/// loaded before.
 class CdclSolver {
  public:
-  /// Loads `cnf` (unit clauses propagate immediately; a top-level
-  /// conflict makes solve() return kUnsat without search).
-  explicit CdclSolver(const CnfFormula& cnf);
+  /// Drops every trace of the previous formula — clauses, learned
+  /// clauses, assignment, activities, phases, stats — and loads `cnf`
+  /// (unit clauses propagate at the start of solve(); a top-level
+  /// conflict makes solve() return kUnsat without search). Array
+  /// storage is kept, so reloading a formula no larger than an earlier
+  /// one allocates nothing.
+  void load(const CnfFormula& cnf);
 
-  /// Runs the search. `conflict_limit` bounds total conflicts before
-  /// giving up with kUnknown (0 gives up immediately unless the formula
-  /// decides at level 0).
+  /// Runs the search. `conflict_limit` bounds the conflicts analyzed
+  /// before giving up with kUnknown. The budget is checked after each
+  /// conflict, so a zero budget still searches up to its first
+  /// conflict: the result is kSat if decisions reach a model without
+  /// one, kUnsat if propagation at level 0 refutes the formula, and
+  /// kUnknown at the first conflict above level 0.
   [[nodiscard]] SatResult solve(uint64_t conflict_limit);
 
   /// Value of `var` in the model; only valid after solve() == kSat.
@@ -67,12 +84,13 @@ class CdclSolver {
     return assign_[var] == 1;
   }
 
-  /// Work tallies of the solve so far.
+  /// Work tallies of the current load so far.
   [[nodiscard]] const SatStats& stats() const { return stats_; }
 
   /// Bytes held by the clause arena (literal pool plus descriptors) —
-  /// the solver's dominant allocation. Sized from element counts, not
-  /// capacity, so the figure is deterministic across allocators.
+  /// the solver's dominant allocation. Sized from the current load's
+  /// element counts, not capacity, so the figure is deterministic
+  /// across allocators and independent of earlier loads.
   [[nodiscard]] size_t arenaBytes() const {
     return arena_.size() * sizeof(CnfLit) + clauses_.size() * sizeof(ClauseRef);
   }
@@ -84,10 +102,19 @@ class CdclSolver {
     uint32_t cref;
     CnfLit blocker;
   };
+  // One literal's watch list: a slice [off, off + size) of wpool_ with
+  // room up to off + cap. A full list moves to the end of the pool with
+  // double the room (or grows in place when it already is the end), so
+  // the lists of one load share one buffer that later loads reuse; the
+  // pool's live end is wpool_end_, and slots past it are stale.
+  struct WatchList {
+    uint32_t off = 0;
+    uint32_t size = 0;
+    uint32_t cap = 0;
+  };
 
   [[nodiscard]] uint32_t propagate();
-  void analyze(uint32_t confl, std::vector<CnfLit>& learnt,
-               uint32_t& bt_level);
+  void analyze(uint32_t confl, uint32_t& bt_level);
   void enqueue(CnfLit l, uint32_t reason);
   void cancelUntil(uint32_t level);
   void bumpVar(uint32_t v);
@@ -98,7 +125,8 @@ class CdclSolver {
   void heapUp(size_t i);
   void heapDown(size_t i);
   [[nodiscard]] bool heapLess(uint32_t a, uint32_t b) const;
-  uint32_t addClauseInternal(std::vector<CnfLit>& lits, bool learnt);
+  uint32_t addLearnt(std::span<const CnfLit> lits);
+  void pushWatch(CnfLit l, Watcher w);
   [[nodiscard]] bool litTrue(CnfLit l) const;
   [[nodiscard]] bool litFalse(CnfLit l) const;
 
@@ -113,7 +141,9 @@ class CdclSolver {
     uint32_t size;
   };
   std::vector<ClauseRef> clauses_;
-  std::vector<std::vector<Watcher>> watches_;  // indexed by literal
+  std::vector<WatchList> watches_;  // indexed by literal
+  std::vector<Watcher> wpool_;
+  uint32_t wpool_end_ = 0;
 
   std::vector<uint8_t> assign_;  // 0 / 1 / 2 = unassigned
   std::vector<uint8_t> phase_;   // saved polarity per variable
@@ -128,6 +158,7 @@ class CdclSolver {
   std::vector<uint32_t> heap_;      // binary max-heap of variables
   std::vector<uint32_t> heap_pos_;  // position in heap_, or npos
   std::vector<uint8_t> seen_;       // analyze() scratch
+  std::vector<CnfLit> learnt_;      // analyze() output
 
   bool unsat_ = false;
   SatStats stats_;
@@ -140,9 +171,9 @@ struct SatOptions {
   uint64_t conflict_limit = 200'000;
 };
 
-/// Cumulative tallies across every generate()/generateSequential()
-/// call of one SatEngine (mirrored into the obs counters; exposed
-/// directly so the bench sweep reports them without enabling obs).
+/// Cumulative tallies across every generate() call of one SatEngine
+/// (mirrored into the obs counters; exposed directly so the bench sweep
+/// reports them without enabling obs).
 struct SatEngineStats {
   uint64_t solves = 0;
   uint64_t cubes = 0;
@@ -155,18 +186,13 @@ struct SatEngineStats {
   uint64_t arena_peak_bytes = 0;
 };
 
-/// A test for a sequential (k-frame) target: one cube per timeframe.
-/// frame_cubes[0] is the scan-load frame (scan cells plus that frame's
-/// PIs); later frames carry PI values only.
-struct SeqTest {
-  std::vector<TestCube> frame_cubes;
-};
-
-/// PodemEngine-compatible SAT ATPG. generate() builds the 1-frame
+/// PodemEngine-compatible SAT ATPG. generate() builds the one-frame
 /// miter — exactly the PODEM search space — so the top-up driver can
 /// swap or escalate engines without caring which one produced a cube.
 /// Unlike PODEM, kUntestable from this engine is always a completed
-/// proof (UNSAT or structural), never a heuristic give-up.
+/// proof (UNSAT or structural), never a heuristic give-up. The engine
+/// owns its encoder and solver and reuses their buffers from target to
+/// target, so one engine serves one thread at a time.
 class SatEngine final : public PodemEngine {
  public:
   /// Same observability contract as the Podem constructor: `observed`
@@ -177,8 +203,8 @@ class SatEngine final : public PodemEngine {
   /// Holds a source at a constant for every subsequent run.
   void fixSource(GateId id, bool value) override;
 
-  /// One-frame solve of `f`: kDetected with a frame-0 cube, kUntestable
-  /// with a redundancy proof, or kAborted past the conflict budget.
+  /// Solves `f`: kDetected with a cube, kUntestable with a redundancy
+  /// proof, or kAborted past the conflict budget.
   AtpgStatus generate(const fault::Fault& f, TestCube& out) override;
 
   /// Conflicts consumed by the last generate() call — the engine's
@@ -187,22 +213,15 @@ class SatEngine final : public PodemEngine {
     return static_cast<size_t>(last_conflicts_);
   }
 
-  /// k-frame solve for sequential/partial-scan targets unreachable in
-  /// one frame: unrolls `frames` timeframes and returns one cube per
-  /// frame on success.
-  AtpgStatus generateSequential(const fault::Fault& f, int frames,
-                                SeqTest& out);
-
   /// Cumulative per-engine tallies (see SatEngineStats).
   [[nodiscard]] const SatEngineStats& engineStats() const { return stats_; }
 
  private:
-  AtpgStatus solveMiter(const fault::Fault& f, int frames, SeqTest& out);
-
   const Netlist* nl_;
   Levelized lev_;
   sim::CompiledNetlist cn_;
   MiterEncoder enc_;
+  CdclSolver solver_;
   SatOptions opts_;
   uint64_t last_conflicts_ = 0;
   SatEngineStats stats_;

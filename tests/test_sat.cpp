@@ -11,7 +11,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <random>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "atpg/podem.hpp"
@@ -21,6 +24,8 @@
 #include "fault/fsim.hpp"
 #include "gen/ipcore.hpp"
 #include "gen/refcircuits.hpp"
+#include "netlist/levelize.hpp"
+#include "sim/compiled.hpp"
 
 namespace lbist::atpg {
 namespace {
@@ -495,56 +500,6 @@ TEST(TopUpEscalation, PrimarySatEngineRecordsRedundantStatus) {
   EXPECT_TRUE(saw_redundant);
 }
 
-// -------------------------------------------------- sequential targets
-
-TEST(SatSequential, TwoFrameTestReachesThroughNonScanFlop) {
-  // a -> DFF -> AND(d, b) -> z with the flop NOT scannable: the AND
-  // output s-a-0 needs the flop at 1, unreachable in one frame (the
-  // flop starts X) but reachable in two (frame-0 a=1 loads it).
-  Netlist nl("partial");
-  const DomainId clk = nl.addClockDomain("clk", 4'000);
-  const GateId a = nl.addInput("a");
-  const GateId b = nl.addInput("b");
-  const GateId d = nl.addDff(a, clk, "d");
-  const GateId g = nl.addGate(CellKind::kAnd, {d, b});
-  nl.addOutput(g, "z");
-
-  const auto obs = poDrivers(nl);
-  const std::vector<GateId> assignable = {a, b};
-  SatEngine sat(nl, obs, assignable);
-  const fault::Fault sa0{g, fault::kOutputPin, fault::FaultType::kStuckAt0};
-
-  SeqTest one;
-  EXPECT_EQ(sat.generateSequential(sa0, 1, one), AtpgStatus::kUntestable)
-      << "one frame cannot justify the non-scan flop";
-
-  SeqTest two;
-  ASSERT_EQ(sat.generateSequential(sa0, 2, two), AtpgStatus::kDetected);
-  ASSERT_EQ(two.frame_cubes.size(), 2u);
-
-  // Hand-replay: the only 2-frame test is a=1 in frame 0 (loads the
-  // flop) and b=1 in frame 1 (sensitizes the AND). The flop's unknown
-  // initial value must never appear as a care bit.
-  auto cubeValue = [](const TestCube& cube, GateId src) {
-    for (size_t i = 0; i < cube.care_sources.size(); ++i) {
-      if (cube.care_sources[i].v == src.v) {
-        return static_cast<int>(cube.care_values[i]);
-      }
-    }
-    return -1;  // not a care bit
-  };
-  EXPECT_EQ(cubeValue(two.frame_cubes[0], a), 1)
-      << "frame 0 must load the flop with 1";
-  EXPECT_EQ(cubeValue(two.frame_cubes[1], b), 1)
-      << "frame 1 must sensitize the AND";
-  for (const TestCube& frame : two.frame_cubes) {
-    for (size_t i = 0; i < frame.care_sources.size(); ++i) {
-      EXPECT_NE(frame.care_sources[i].v, d.v)
-          << "non-scan flop leaked into a cube as if it were assignable";
-    }
-  }
-}
-
 // ----------------------------------------- deterministic solver reruns
 
 TEST(SatEngine, RerunsAreBitIdentical) {
@@ -571,6 +526,251 @@ TEST(SatEngine, RerunsAreBitIdentical) {
   }
   EXPECT_EQ(e1.engineStats().conflicts, e2.engineStats().conflicts);
   EXPECT_EQ(e1.engineStats().learned, e2.engineStats().learned);
+}
+
+// ----------------------------------------------- reuse across targets
+
+/// A seeded generated core for the whole-fault-list sweeps below: every
+/// flop but the generator's no-scan ones is a scan cell (so DFF
+/// data-pin targets are real justification targets, and the no-scan
+/// ones trivially untestable), two X sources, and two primary inputs
+/// pinned as test-mode constants.
+struct SeededCore {
+  Netlist nl;
+  ScanSetup s;
+  std::vector<std::pair<GateId, bool>> fixed;
+};
+
+SeededCore seededCore() {
+  gen::IpCoreSpec spec;
+  spec.seed = 21;
+  spec.target_comb_gates = 300;
+  spec.target_ffs = 24;
+  spec.num_inputs = 10;
+  spec.num_outputs = 8;
+  spec.num_domains = 1;
+  spec.num_xsources = 2;
+  spec.num_noscan_ffs = 3;
+  spec.resistant_fraction = 0.1;
+  SeededCore c{gen::generateIpCore(spec), {}, {}};
+  Netlist& nl = c.nl;
+  for (GateId dff : nl.dffs()) {
+    if ((nl.gate(dff).flags & kFlagNoScan) == 0) {
+      nl.setFlag(dff, kFlagScanCell);
+    }
+  }
+  c.s.observed = poDrivers(nl);
+  c.s.assignable.assign(nl.inputs().begin(), nl.inputs().end());
+  for (GateId dff : nl.dffs()) {
+    if ((nl.gate(dff).flags & kFlagScanCell) == 0) continue;
+    c.s.observed.push_back(nl.gate(dff).fanins[0]);
+    c.s.assignable.push_back(dff);
+  }
+  std::sort(c.s.observed.begin(), c.s.observed.end());
+  c.s.observed.erase(std::unique(c.s.observed.begin(), c.s.observed.end()),
+                     c.s.observed.end());
+  c.fixed = {{nl.inputs()[0], false}, {nl.inputs()[1], true}};
+  return c;
+}
+
+fault::FaultList uncollapsedFaults(const Netlist& nl) {
+  fault::FaultListOptions opts;
+  opts.collapse = false;
+  opts.mark_chain_faults = false;
+  return fault::FaultList::enumerateStuckAt(nl, opts);
+}
+
+/// FNV-1a over the encoded miter of every fault of `nl`: variable
+/// count, each clause's literals in order, the stimulus list and both
+/// flags.
+uint64_t miterHash(const Netlist& nl, const std::vector<GateId>& observed,
+                   const std::vector<GateId>& assignable,
+                   const std::vector<std::pair<GateId, bool>>& fixed) {
+  const Levelized lev(nl);
+  const sim::CompiledNetlist cn(nl, lev);
+  MiterEncoder enc(nl, cn, observed, assignable);
+  for (const auto& [id, v] : fixed) enc.fixSource(id, v);
+  uint64_t h = 0xcbf29ce484222325ull;
+  const auto mix = [&](uint64_t word) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (word >> (8 * b)) & 0xffu;
+      h *= 0x100000001b3ull;
+    }
+  };
+  const fault::FaultList fl = uncollapsedFaults(nl);
+  for (size_t i = 0; i < fl.size(); ++i) {
+    const FaultMiter& m = enc.encodeFault(fl.record(i).fault);
+    mix(m.cnf.numVars());
+    mix(m.cnf.numClauses());
+    for (size_t c = 0; c < m.cnf.numClauses(); ++c) {
+      const std::span<const CnfLit> lits = m.cnf.clause(c);
+      mix(lits.size());
+      for (CnfLit l : lits) mix(l);
+    }
+    mix(m.stimulus.size());
+    for (const StimulusVar& sv : m.stimulus) {
+      mix(sv.source.v);
+      mix(sv.var);
+    }
+    mix(m.trivially_untestable ? 1 : 0);
+    mix(m.direct ? 1 : 0);
+  }
+  return h;
+}
+
+TEST(MiterEncoder, FormulasMatchTheRecordedEncoding) {
+  // The encoder copies each target's good machine out of a once-per-
+  // netlist encoding. These hashes were recorded from the per-target
+  // encoder that preceded it, so any drift in a variable number, a
+  // clause, a literal order, the stimulus list or a flag fails here —
+  // and with it every verdict, cube and conflict count downstream.
+  {
+    const Netlist nl = gen::buildC17();
+    const std::vector<GateId> pis(nl.inputs().begin(), nl.inputs().end());
+    const uint64_t h = miterHash(nl, poDrivers(nl), pis, {});
+    EXPECT_EQ(h, 0x2ba9a6002823bf8bull) << "c17";
+  }
+  {
+    Netlist nl = gen::buildMiniAlu(2);
+    const ScanSetup s = scanSetup(nl);
+    const uint64_t h = miterHash(nl, s.observed, s.assignable, {});
+    EXPECT_EQ(h, 0xaccaea9aace84562ull) << "mini ALU";
+  }
+  {
+    const Netlist nl = gen::buildXorTrap(14, 24, 0xA11CE);
+    const std::vector<GateId> pis(nl.inputs().begin(), nl.inputs().end());
+    const uint64_t h = miterHash(nl, poDrivers(nl), pis, {});
+    EXPECT_EQ(h, 0x76a13462b1ee46a3ull) << "XOR trap";
+  }
+  {
+    const SeededCore c = seededCore();
+    const uint64_t h = miterHash(c.nl, c.s.observed, c.s.assignable, c.fixed);
+    EXPECT_EQ(h, 0x18139d359399bcf2ull) << "seeded core";
+  }
+}
+
+TEST(SatEngine, AnswersDoNotDependOnSolveHistory) {
+  // One engine reuses its encoder and solver buffers from target to
+  // target. Sweeping the whole fault list forwards and backwards
+  // through one engine each must give, per fault, exactly what a fresh
+  // engine gives: same verdict, cube, conflicts and learned clauses.
+  // RerunsAreBitIdentical runs two engines in the same order, so it
+  // cannot see state leaking from one target into the next.
+  const SeededCore c = seededCore();
+  const fault::FaultList fl = uncollapsedFaults(c.nl);
+  struct Answer {
+    AtpgStatus status = AtpgStatus::kAborted;
+    TestCube cube;
+    size_t conflicts = 0;
+    uint64_t learned = 0;
+  };
+  const auto makeEngine = [&] {
+    auto e = std::make_unique<SatEngine>(c.nl, c.s.observed, c.s.assignable);
+    for (const auto& [id, v] : c.fixed) e->fixSource(id, v);
+    return e;
+  };
+  const auto solve = [&](SatEngine& e, size_t i) {
+    Answer a;
+    const uint64_t learned_before = e.engineStats().learned;
+    a.status = e.generate(fl.record(i).fault, a.cube);
+    a.conflicts = e.backtracksUsed();
+    a.learned = e.engineStats().learned - learned_before;
+    return a;
+  };
+
+  std::vector<Answer> fresh(fl.size());
+  for (size_t i = 0; i < fl.size(); ++i) fresh[i] = solve(*makeEngine(), i);
+  std::vector<Answer> forwards(fl.size());
+  std::vector<Answer> backwards(fl.size());
+  {
+    const auto e = makeEngine();
+    for (size_t i = 0; i < fl.size(); ++i) forwards[i] = solve(*e, i);
+  }
+  {
+    const auto e = makeEngine();
+    for (size_t i = fl.size(); i-- > 0;) backwards[i] = solve(*e, i);
+  }
+
+  size_t detected = 0;
+  size_t untestable = 0;
+  size_t direct = 0;
+  uint64_t conflicts = 0;
+  for (size_t i = 0; i < fl.size(); ++i) {
+    for (const std::vector<Answer>* run : {&forwards, &backwards}) {
+      const Answer& a = (*run)[i];
+      const char* dir = run == &forwards ? "forwards" : "backwards";
+      ASSERT_EQ(a.status, fresh[i].status)
+          << dir << ": " << fl.describe(c.nl, i);
+      ASSERT_EQ(a.cube.care_sources, fresh[i].cube.care_sources)
+          << dir << ": " << fl.describe(c.nl, i);
+      ASSERT_EQ(a.cube.care_values, fresh[i].cube.care_values)
+          << dir << ": " << fl.describe(c.nl, i);
+      ASSERT_EQ(a.conflicts, fresh[i].conflicts)
+          << dir << ": " << fl.describe(c.nl, i);
+      ASSERT_EQ(a.learned, fresh[i].learned)
+          << dir << ": " << fl.describe(c.nl, i);
+    }
+    detected += fresh[i].status == AtpgStatus::kDetected ? 1 : 0;
+    untestable += fresh[i].status == AtpgStatus::kUntestable ? 1 : 0;
+    const Gate& site = c.nl.gate(fl.record(i).fault.gate);
+    if (site.kind == CellKind::kDff &&
+        fl.record(i).fault.pin != fault::kOutputPin) {
+      ++direct;
+    }
+    conflicts += fresh[i].conflicts;
+  }
+  // The sweep must exercise every path the reuse touches.
+  EXPECT_GT(detected, 100u);
+  EXPECT_GT(untestable, 0u);
+  EXPECT_GT(direct, 0u);
+  EXPECT_GT(conflicts, 0u);
+}
+
+TEST(CdclSolver, ZeroBudgetSearchesUpToTheFirstConflict) {
+  // The budget is checked after each conflict, so conflict_limit = 0
+  // does not stop before the search starts.
+  CnfFormula refuted;  // x, (~x | y), ~y: unit propagation refutes it
+  {
+    const uint32_t x = refuted.newVar();
+    const uint32_t y = refuted.newVar();
+    refuted.addClause({posLit(x)});
+    refuted.addClause({negLit(x), posLit(y)});
+    refuted.addClause({negLit(y)});
+  }
+  CnfFormula needs_decision;  // (x | y): satisfiable, no unit to start
+  {
+    const uint32_t x = needs_decision.newVar();
+    const uint32_t y = needs_decision.newVar();
+    needs_decision.addClause({posLit(x), posLit(y)});
+  }
+  CnfFormula conflicts_first;  // (x | y), (x | ~y): deciding ~x conflicts
+  {
+    const uint32_t x = conflicts_first.newVar();
+    const uint32_t y = conflicts_first.newVar();
+    conflicts_first.addClause({posLit(x), posLit(y)});
+    conflicts_first.addClause({posLit(x), negLit(y)});
+  }
+
+  CdclSolver solver;
+  solver.load(refuted);
+  EXPECT_EQ(solver.solve(0), SatResult::kUnsat);
+  EXPECT_EQ(solver.stats().decisions, 0u);
+
+  solver.load(needs_decision);
+  EXPECT_EQ(solver.solve(0), SatResult::kSat);
+  EXPECT_GT(solver.stats().decisions, 0u);
+  EXPECT_EQ(solver.stats().conflicts, 0u);
+  EXPECT_TRUE(solver.modelValue(0) || solver.modelValue(1));
+
+  // Above level 0 a zero budget gives up at the first conflict, even
+  // though the unit it learns would finish the search.
+  solver.load(conflicts_first);
+  EXPECT_EQ(solver.solve(0), SatResult::kUnknown);
+  EXPECT_EQ(solver.stats().conflicts, 1u);
+  solver.load(conflicts_first);
+  EXPECT_EQ(solver.solve(2), SatResult::kSat);
+  EXPECT_EQ(solver.stats().conflicts, 1u);
+  EXPECT_TRUE(solver.modelValue(0));
 }
 
 }  // namespace
