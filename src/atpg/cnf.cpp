@@ -34,16 +34,6 @@ void CnfFormula::addClause(std::span<const CnfLit> lits) {
   offsets_.push_back(static_cast<uint32_t>(pool_.size()));
 }
 
-void CnfFormula::appendFolded(std::span<const CnfLit> lits) {
-  assert(!lits.empty() && lits.back() < kLitTrue);
-  for (size_t i = 1; i < lits.size(); ++i) {
-    assert(lits[i - 1] < lits[i] && negateLit(lits[i - 1]) != lits[i]);
-  }
-  if (contradiction_) return;
-  pool_.insert(pool_.end(), lits.begin(), lits.end());
-  offsets_.push_back(static_cast<uint32_t>(pool_.size()));
-}
-
 void CnfFormula::appendRenamed(const CnfFormula& src, size_t first,
                                size_t last, std::span<const uint32_t> var_map) {
   if (contradiction_ || first == last) return;
@@ -83,7 +73,7 @@ Rails railsNot(Rails r) { return {r.zero, r.one}; }
 
 // Tseitin definitions of gate rail functions into one formula. The
 // literal buffers belong to the encoder and are reused from gate to
-// gate, so a warm encode allocates nothing.
+// gate.
 class GateCnf {
  public:
   GateCnf(CnfFormula& cnf, std::vector<CnfLit>& ones,
@@ -173,16 +163,13 @@ class GateCnf {
     }
     if (in.empty()) return kLitTrue;
     if (in.size() == 1) return in[0];
-    // y is the newest variable, so (l | ~y) and (~l... | y) come out
-    // sorted and folded as they stand.
     const CnfLit y = posLit(cnf_->newVar());
     for (CnfLit& l : in) {
-      const CnfLit c[] = {l, negateLit(y)};
-      cnf_->appendFolded(c);
+      cnf_->addClause({l, negateLit(y)});
       l = negateLit(l);
     }
     in.push_back(y);
-    cnf_->appendFolded(in);
+    cnf_->addClause(in);
     return y;
   }
 

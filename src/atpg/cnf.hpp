@@ -35,8 +35,8 @@
 // keeps that relative order, so the copied clauses are literal for
 // literal what a per-target encode of the same support would emit.
 // All per-target scratch (cone, support, faulty rails, D variables, the
-// formula itself) is encoder-owned and epoch-stamped, so a steady-state
-// encode walks only the cone and support and allocates nothing.
+// formula itself) is encoder-owned and epoch-stamped, so an encode walks
+// only the cone and support and reuses the storage of earlier encodes.
 #pragma once
 
 #include <cstdint>
@@ -103,10 +103,6 @@ class CnfFormula {
     addClause(std::span<const CnfLit>(lits.begin(), lits.size()));
   }
 
-  /// Appends a clause that is already in folded form: strictly
-  /// increasing literals, no sentinel, not a tautology, not empty.
-  void appendFolded(std::span<const CnfLit> lits);
-
   /// Appends clauses [first, last) of `src` with every variable v
   /// renamed to var_map[v]. The renaming must preserve variable order on
   /// the variables those clauses use, so each copy stays sorted and
@@ -115,7 +111,7 @@ class CnfFormula {
                      std::span<const uint32_t> var_map);
 
   /// Empties the formula (no variables, no clauses) but keeps the
-  /// storage, so the next formula of similar size allocates nothing.
+  /// storage for the next formula.
   void clear();
 
   /// Number of variables allocated so far.

@@ -67,8 +67,7 @@ class CdclSolver {
   /// clauses, assignment, activities, phases, stats — and loads `cnf`
   /// (unit clauses propagate at the start of solve(); a top-level
   /// conflict makes solve() return kUnsat without search). Array
-  /// storage is kept, so reloading a formula no larger than an earlier
-  /// one allocates nothing.
+  /// storage is kept and reused by the next load.
   void load(const CnfFormula& cnf);
 
   /// Runs the search. `conflict_limit` bounds the conflicts analyzed
