@@ -143,10 +143,10 @@ struct SweepRow {
 };
 
 /// Runs `reps` identical campaigns of `blocks` lane blocks (fresh fault
-/// list each rep, so dropping dynamics repeat exactly) through the
-/// batched dispatch path and reports the aggregate. Small reference
-/// circuits finish a campaign in ~1ms; the repetitions push each
-/// measurement well past timer noise. Only the block loop is timed —
+/// list each rep, so dropping dynamics repeat exactly), one
+/// simulateBlockStuckAt call per block, and reports the aggregate. Small
+/// reference circuits finish a campaign in ~1ms; the repetitions push
+/// each measurement well past timer noise. Only the block loop is timed —
 /// enumeration, simulator construction, and the stimulus generation are
 /// per-campaign setup, not the steady-state engine throughput this
 /// sweep records.
@@ -179,26 +179,18 @@ SweepRow runSweep(const std::string& name, const Netlist& nl,
 
     int64_t base = 0;
     const auto t0 = std::chrono::steady_clock::now();
-    for (int b = 0; b < blocks;) {
-      const size_t n_blocks = std::min<size_t>(
-          opts.batch_blocks, static_cast<size_t>(blocks - b));
-      // Dropping is deferred to the batch's ordered reduction, so the
-      // live count at dispatch is the decided set for every block in it.
+    for (int b = 0; b < blocks; ++b) {
       row.fault_pattern_decisions +=
           static_cast<double>(sim.liveFaultCount()) *
-          static_cast<double>(block_lanes) * static_cast<double>(n_blocks);
-      const auto load = [&](size_t i, sim::Simulator2v& s) -> int {
-        const uint64_t* words =
-            stimulus.data() +
-            (static_cast<size_t>(b) + i) * sources.size() * lane_words;
-        for (size_t k = 0; k < sources.size(); ++k) {
-          s.setSourceRow(sources[k], words + k * lane_words);
-        }
-        return static_cast<int>(block_lanes);
-      };
-      sim.simulateBatchStuckAt(base, n_blocks, load);
-      base += static_cast<int64_t>(n_blocks) * block_lanes;
-      b += static_cast<int>(n_blocks);
+          static_cast<double>(block_lanes);
+      const uint64_t* words =
+          stimulus.data() +
+          static_cast<size_t>(b) * sources.size() * lane_words;
+      for (size_t k = 0; k < sources.size(); ++k) {
+        sim.setSourceRow(sources[k], words + k * lane_words);
+      }
+      sim.simulateBlockStuckAt(base, static_cast<int>(block_lanes));
+      base += block_lanes;
     }
     const auto t1 = std::chrono::steady_clock::now();
     row.seconds += std::chrono::duration<double>(t1 - t0).count();

@@ -52,26 +52,15 @@ RandomPhaseResult CoverageFlow::runRandomPhase(int64_t n_patterns) {
   RandomPhaseResult res;
   res.patterns = n_patterns;
   const int64_t block_lanes = static_cast<int64_t>(fsim_.lanes());
-  const int64_t batch =
-      std::max<int64_t>(1, fsim_.options().batch_blocks);
-  for (int64_t base = 0; base < n_patterns;) {
-    const int64_t blocks_left =
-        (n_patterns - base + block_lanes - 1) / block_lanes;
-    const size_t n_blocks =
-        static_cast<size_t>(std::min(batch, blocks_left));
-    const auto load = [&](size_t b, sim::Simulator2v& sim) -> int {
-      const int64_t blk_base = base + static_cast<int64_t>(b) * block_lanes;
-      const int lanes = static_cast<int>(
-          std::min<int64_t>(block_lanes, n_patterns - blk_base));
-      source_.loadBlock(sim, lanes);
-      return lanes;
-    };
+  for (int64_t base = 0; base < n_patterns; base += block_lanes) {
+    const int lanes =
+        static_cast<int>(std::min<int64_t>(block_lanes, n_patterns - base));
+    source_.loadBlock(fsim_, lanes);
     if (transition_) {
-      fsim_.simulateBatchTransition(base, n_blocks, load);
+      fsim_.simulateBlockTransition(base, lanes);
     } else {
-      fsim_.simulateBatchStuckAt(base, n_blocks, load);
+      fsim_.simulateBlockStuckAt(base, lanes);
     }
-    base += static_cast<int64_t>(n_blocks) * block_lanes;
   }
   res.coverage = faults_.coverage();
   res.wall_seconds =

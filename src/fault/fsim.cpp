@@ -22,9 +22,6 @@ void validateFsimOptions(const FsimOptions& opts) {
   if (opts.n_detect == 0) {
     throw std::invalid_argument("FsimOptions::n_detect must be >= 1");
   }
-  if (opts.batch_blocks == 0) {
-    throw std::invalid_argument("FsimOptions::batch_blocks must be >= 1");
-  }
 }
 
 std::vector<GateId> defaultObservationSet(const Netlist& nl) {
@@ -494,11 +491,11 @@ size_t FaultSimulator::simulateActiveFaultsW(int64_t pattern_base,
   OBS_COUNT("fsim.blocks", 1);
   OBS_COUNT("fsim.live_faults", active_.size());
   OBS_COUNT("fsim.live_classes", n_compute);
-  // Common per-block path for both engines and the batch-sequential
-  // fallback: an injected failure here models a simulator crash inside
-  // any fault-sim consumer (coverage flows, top-up, diagnosis). Placed
-  // before the compute phase so no partial block ever mutates fault
-  // statuses — the exception leaves the list exactly as it was.
+  // Common per-block path for both engines: an injected failure here
+  // models a simulator crash inside any fault-sim consumer (coverage
+  // flows, top-up, diagnosis). Placed before the compute phase so no
+  // partial block ever mutates fault statuses — the exception leaves the
+  // list exactly as it was.
   if (ROBUST_POINT("fsim.block.simulate", "", robust::kCanThrow) ==
       robust::FaultAction::kThrow) {
     throw std::runtime_error("injected fault-simulator failure (block at "
@@ -757,267 +754,6 @@ size_t FaultSimulator::simulateStagedW(
   return mergeBlock(pattern_base, /*buffer_reach=*/false);
 }
 
-template <size_t W>
-size_t FaultSimulator::simulateBatchW(int64_t pattern_base, size_t n_blocks,
-                                      const BlockLoader& load,
-                                      bool transition) {
-  // Fallbacks that keep the loader stream advancing: reach observers
-  // need per-block cones, and the stem-CPT engine keeps its per-block
-  // observability passes (they depend on each block's good frame, so a
-  // batch has nothing to amortize for it). Batching amortizes the
-  // per-block thread-pool shard/merge dispatch, so a single requested
-  // worker has nothing to amortize either — it would only pay the
-  // good-frame snapshot copies. kAuto additionally re-checks the
-  // density heuristic: while the live set is dense enough that the
-  // sequential loop would pick stem-CPT, batching the per-fault engine
-  // would be a large slowdown, not a win. Every route produces the same
-  // masks; only the schedule differs.
-  const unsigned requested_threads =
-      opts_.threads != 0 ? opts_.threads
-                         : std::max(1u, std::thread::hardware_concurrency());
-  bool dense_auto = false;
-  if (opts_.engine == BlockEngine::kAuto && reach_observer_ == nullptr &&
-      !active_.empty()) {
-    prepareComputeSet();
-    dense_auto = compute_faults_.size() > 2 * stems_.size();
-  }
-  if (reach_observer_ != nullptr || opts_.engine == BlockEngine::kStemCpt ||
-      dense_auto || requested_threads <= 1 || n_blocks <= 1) {
-    OBS_COUNT("fsim.batch_sequential_fallbacks", 1);
-    size_t newly = 0;
-    for (size_t b = 0; b < n_blocks; ++b) {
-      const int lanes_b = load(b, good_);
-      if (lanes_b <= 0) break;
-      const int64_t base =
-          pattern_base + static_cast<int64_t>(b) * static_cast<int64_t>(W * 64);
-      newly += transition ? simulateBlockTransition(base, lanes_b)
-                          : simulateBlockStuckAt(base, lanes_b);
-    }
-    return newly;
-  }
-
-  // Snapshot every block's good-machine frame (and launch frame for
-  // transition) up front; the loaders run even when no fault is live so
-  // stateful pattern sources stay in step with the pattern numbering.
-  batch_frames_.resize(n_blocks);
-  if (transition) batch_launch_.resize(n_blocks);
-  batch_block_lanes_.assign(n_blocks, 0);
-  size_t used_blocks = 0;
-  for (size_t b = 0; b < n_blocks; ++b) {
-    const int lanes_b = load(b, good_);
-    if (lanes_b <= 0) break;
-    batch_block_lanes_[b] = lanes_b;
-    good_.eval();
-    if (transition) {
-      batch_launch_[b].assign(good_.rawValues().begin(),
-                              good_.rawValues().end());
-      // Broadside follow-on capture: every DFF loads its D value, PIs
-      // held.
-      for (GateId dff : nl_->dffs()) {
-        good_.setSourceRow(
-            dff,
-            batch_launch_[b].data() + size_t{nl_->gate(dff).fanins[0].v} * W);
-      }
-      good_.eval();
-    }
-    batch_frames_[b].assign(good_.rawValues().begin(),
-                            good_.rawValues().end());
-    ++used_blocks;
-  }
-  if (used_blocks == 0 || active_.empty()) return 0;
-
-  prepareComputeSet();
-  const size_t n_compute = compute_faults_.size();
-  const unsigned n_threads = resolveThreads(n_compute * used_blocks);
-  ensureWorkersW<W>(n_threads);
-
-  OBS_SPAN("fsim.batch");
-  OBS_COUNT("fsim.batch_dispatches", 1);
-  OBS_COUNT("fsim.batch_blocks", used_blocks);
-
-  batch_hits_.resize(std::max<size_t>(batch_hits_.size(), n_threads));
-  for (unsigned t = 0; t < n_threads; ++t) {
-    batch_hits_[t].resize(
-        std::max<size_t>(batch_hits_[t].size(), used_blocks));
-    for (HitQueue& q : batch_hits_[t]) {
-      q.slots.clear();
-      q.rows.clear();
-    }
-  }
-
-  std::vector<LaneWord<W>> block_masks(used_blocks);
-  for (size_t b = 0; b < used_blocks; ++b) {
-    block_masks[b] =
-        LaneWord<W>::firstLanes(static_cast<size_t>(batch_block_lanes_[b]));
-  }
-
-  // With dropping on, a fault detected enough times by block b leaves
-  // the active set before block b+1 in the sequential schedule, so its
-  // later-block masks are never observed. Precompute, per compute slot,
-  // how many more lane detections retire every active member of the
-  // slot's class; workers stop walking blocks for a slot once its
-  // accumulated mask popcounts reach that need. reduceBatch applies the
-  // same arithmetic serially, so the skipped work is exactly the work
-  // the per-block loop would also have skipped — results are unchanged.
-  if (opts_.drop_detected) {
-    batch_slot_need_.assign(n_compute, 0);
-    for (size_t ai = 0; ai < active_.size(); ++ai) {
-      const FaultRecord& rec = faults_->record(active_[ai]);
-      const uint32_t need = opts_.n_detect > rec.detect_count
-                                ? opts_.n_detect - rec.detect_count
-                                : 1;
-      uint32_t& slot_need = batch_slot_need_[merge_slot_[ai]];
-      slot_need = std::max(slot_need, need);
-    }
-  } else {
-    batch_slot_need_.assign(n_compute, 0);
-  }
-
-  // One dispatch for the whole batch: each worker walks its fault shard
-  // with blocks inner (the fault's cone structure stays hot in cache)
-  // and appends non-empty masks to its own per-block hit queue.
-  auto compute_range = [&](unsigned shard, ScratchW<W>& sc, size_t lo,
-                           size_t hi) {
-    uint64_t hit_rows = 0;
-    uint64_t deferred_blocks = 0;
-    for (size_t ci = lo; ci < hi; ++ci) {
-      const Fault& f = faults_->record(compute_faults_[ci]).fault;
-      const uint32_t need = batch_slot_need_[ci];
-      uint32_t got = 0;
-      for (size_t b = 0; b < used_blocks; ++b) {
-        const uint64_t* const gv = batch_frames_[b].data();
-        const InjectResultW<W> inj =
-            transition
-                ? injectTransitionW<W>(f, block_masks[b], gv,
-                                       batch_launch_[b].data())
-                : injectStuckAtW<W>(f, block_masks[b], gv);
-        LaneWord<W> detect = inj.direct_detect ? inj.direct_mask
-                                               : LaneWord<W>{};
-        if (inj.diff.any()) {
-          const SeedW<W> seed{f.gate, inj.diff};
-          detect |= propagateSeedsW<W>(sc, {&seed, 1}, gv, is_observed_,
-                                       /*forced=*/nullptr,
-                                       /*record_touched=*/false, inj.diff);
-        }
-        if (detect.any()) {
-          ++hit_rows;
-          HitQueue& q = batch_hits_[shard][b];
-          q.slots.push_back(static_cast<uint32_t>(ci));
-          const size_t off = q.rows.size();
-          q.rows.resize(off + W);
-          detect.store(q.rows.data() + off);
-          if (need != 0) {
-            got += static_cast<uint32_t>(detect.popcount());
-            // The sequential loop drops this class before the next
-            // block; its remaining masks would be discarded unseen.
-            if (got >= need) {
-              deferred_blocks += used_blocks - 1 - b;
-              break;
-            }
-          }
-        }
-      }
-    }
-    OBS_COUNT("fsim.batch_hit_rows", hit_rows);
-    OBS_COUNT("fsim.batch_deferred_blocks", deferred_blocks);
-  };
-  if (n_threads <= 1) {
-    compute_range(0, static_cast<ScratchW<W>&>(*scratch_[0]), 0, n_compute);
-  } else {
-    pool_->run(n_threads, [&](unsigned shard) {
-      const size_t lo = n_compute * shard / n_threads;
-      const size_t hi = n_compute * (shard + 1) / n_threads;
-      compute_range(shard, static_cast<ScratchW<W>&>(*scratch_[shard]), lo,
-                    hi);
-    });
-  }
-
-  return reduceBatch(pattern_base, used_blocks, n_threads);
-}
-
-size_t FaultSimulator::reduceBatch(int64_t pattern_base, size_t n_blocks,
-                                   unsigned n_threads) {
-  // The batch counterpart of mergeBlock: one serial pass per block, in
-  // block order and fault-list order within a block, so the bookkeeping
-  // and observer stream are bit-identical to the sequential per-block
-  // loop. A fault dropped by an earlier block's pass is skipped in later
-  // blocks' passes — exactly as it would have left the active set
-  // between sequential blocks. block_detect_ doubles as an epoch-stamped
-  // slot-row table so hit rows land in O(hits), not O(slots), per block.
-  const size_t w = lane_words_;
-  const size_t n_compute = compute_faults_.size();
-  const size_t n_active = active_.size();
-  block_detect_.resize(n_compute * w);
-  if (batch_slot_stamp_.size() < n_compute) {
-    batch_slot_stamp_.resize(n_compute, 0);
-  }
-  batch_dropped_.assign(n_active, 0);
-  size_t newly_detected = 0;
-  size_t dropped = 0;
-  bool any_dropped = false;
-
-  for (size_t b = 0; b < n_blocks; ++b) {
-    if (++batch_epoch_ == 0) {
-      // Stamp wraparound: invalidate every stale stamp once per 2^32
-      // blocks rather than carrying wider stamps on the hot path.
-      std::fill(batch_slot_stamp_.begin(), batch_slot_stamp_.end(), 0u);
-      batch_epoch_ = 1;
-    }
-    const uint32_t epoch = batch_epoch_;
-    for (unsigned t = 0; t < n_threads; ++t) {
-      const HitQueue& q = batch_hits_[t][b];
-      for (size_t i = 0; i < q.slots.size(); ++i) {
-        const uint32_t slot = q.slots[i];
-        std::copy_n(q.rows.data() + i * w, w,
-                    block_detect_.data() + size_t{slot} * w);
-        batch_slot_stamp_[slot] = epoch;
-      }
-    }
-
-    const int64_t base =
-        pattern_base + static_cast<int64_t>(b) * static_cast<int64_t>(w * 64);
-    for (size_t ai = 0; ai < n_active; ++ai) {
-      if (batch_dropped_[ai] != 0) continue;
-      const uint32_t slot = merge_slot_[ai];
-      if (batch_slot_stamp_[slot] != epoch) continue;  // no detection
-      const size_t fi = active_[ai];
-      const sim::LaneMask detect(block_detect_.data() + size_t{slot} * w, w);
-      if (detection_observer_ != nullptr) {
-        detection_observer_->onDetectionMask(fi, base, detect);
-      }
-      FaultRecord& rec = faults_->record(fi);
-      const bool was_undetected = rec.status == FaultStatus::kUndetected;
-      if (was_undetected) {
-        faults_->recordDetection(fi, base + detect.firstLane());
-        ++newly_detected;
-        rec.detect_count += static_cast<uint32_t>(detect.popcount()) - 1;
-      } else {
-        rec.detect_count += static_cast<uint32_t>(detect.popcount());
-      }
-      if (opts_.drop_detected && rec.detect_count >= opts_.n_detect) {
-        batch_dropped_[ai] = 1;
-        any_dropped = true;
-        ++dropped;
-      }
-    }
-  }
-
-  if (any_dropped) {
-    size_t out = 0;
-    for (size_t ai = 0; ai < n_active; ++ai) {
-      if (batch_dropped_[ai] == 0) active_[out++] = active_[ai];
-    }
-    active_.resize(out);
-  }
-  OBS_COUNT("fsim.detections", newly_detected);
-  OBS_COUNT("fsim.faults_dropped", dropped);
-  // Batch twin of mergeBlock's sample: one per ordered reduction,
-  // anchored at the last pattern the batch reached.
-  OBS_SAMPLE("fsim.block",
-             pattern_base + static_cast<int64_t>(n_blocks * w * 64));
-  return newly_detected;
-}
-
 size_t FaultSimulator::simulateBlockStuckAt(int64_t pattern_base,
                                             int n_patterns) {
   if (n_patterns < 0) n_patterns = static_cast<int>(lanes());
@@ -1072,38 +808,6 @@ size_t FaultSimulator::simulateBlockStuckAtStaged(
       return simulateStagedW<4>(pattern_base, n_patterns, stages);
     case 8:
       return simulateStagedW<8>(pattern_base, n_patterns, stages);
-    default:
-      assert(false && "unsupported lane width");
-      return 0;
-  }
-}
-
-size_t FaultSimulator::simulateBatchStuckAt(int64_t pattern_base,
-                                            size_t n_blocks,
-                                            const BlockLoader& load) {
-  switch (lane_words_) {
-    case 1:
-      return simulateBatchW<1>(pattern_base, n_blocks, load, false);
-    case 4:
-      return simulateBatchW<4>(pattern_base, n_blocks, load, false);
-    case 8:
-      return simulateBatchW<8>(pattern_base, n_blocks, load, false);
-    default:
-      assert(false && "unsupported lane width");
-      return 0;
-  }
-}
-
-size_t FaultSimulator::simulateBatchTransition(int64_t pattern_base,
-                                               size_t n_blocks,
-                                               const BlockLoader& load) {
-  switch (lane_words_) {
-    case 1:
-      return simulateBatchW<1>(pattern_base, n_blocks, load, true);
-    case 4:
-      return simulateBatchW<4>(pattern_base, n_blocks, load, true);
-    case 8:
-      return simulateBatchW<8>(pattern_base, n_blocks, load, true);
     default:
       assert(false && "unsupported lane width");
       return 0;

@@ -15,18 +15,12 @@
 //    between the two captures is forced to hold its launch value in the
 //    second capture, modelling a gross delay defect at functional speed.
 //
-// Dispatch granularity: the per-block entry points shard one block's
-// faults across the worker pool; the batch entry points snapshot several
-// blocks' good-machine frames first and shard faults x blocks in a
-// single pool dispatch, so the per-dispatch shard/merge cost is
-// amortized over the whole batch. Workers append (slot, mask-row) hits
-// to per-thread per-block queues; a single serial reduction drains them
-// in block order and fault-list order, so results stay bit-identical to
-// the sequential per-block loop for every thread count.
+// Dispatch: each per-block call shards that block's faults across the
+// worker pool, and a serial merge in fault-list order applies the
+// results, so they are bit-identical for every thread count.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <span>
 #include <vector>
@@ -92,8 +86,8 @@ enum class BlockEngine : uint8_t {
 /// are exact — results are bit-identical either way — but profiles
 /// change; spell out `.collapse` / `.engine` / `.lane_words` to pin the
 /// work distribution. Field validity (supported lane width, non-zero
-/// n-detect/batch) is checked centrally by validateFsimOptions, which
-/// the simulator constructor calls.
+/// n-detect) is checked centrally by validateFsimOptions, which the
+/// simulator constructor calls.
 struct FsimOptions {
   /// Drop a fault after this many detections. Must be >= 1.
   uint32_t n_detect = 1;
@@ -126,24 +120,19 @@ struct FsimOptions {
   /// Lane-block width in 64-bit words: each simulated block carries
   /// 64 * lane_words patterns (sim/lane.hpp; one of 1, 4, 8). Fixed for
   /// the simulator's lifetime. At a given width, results are invariant
-  /// across threads/engines/batching; across widths, no-drop mask rows,
+  /// across threads and engines; across widths, no-drop mask rows,
   /// coverage, and first-detect patterns are invariant, but detect
   /// counts at drop time may differ (a wider block merges more patterns
   /// at once before the drop decision).
   uint32_t lane_words = 1;
-  /// Lane blocks the batch entry points snapshot per pool dispatch.
-  /// Purely a work-granularity knob for callers sizing their batches
-  /// (core::CoverageFlow, benches read it); results are bit-identical
-  /// for every value. Must be >= 1.
-  uint32_t batch_blocks = 8;
 };
 
 /// Central FsimOptions validity check: throws std::invalid_argument on
-/// an unsupported lane width, n_detect == 0, or batch_blocks == 0. The
-/// engine/collapse/observer interplay needs no rejection — every
-/// combination is mask-exact — but the resolution rules live in one
-/// place each: prepareComputeSet (folding) and the per-block engine
-/// selection in the simulate paths.
+/// an unsupported lane width or n_detect == 0. The engine/collapse/
+/// observer interplay needs no rejection — every combination is
+/// mask-exact — but the resolution rules live in one place each:
+/// prepareComputeSet (folding) and the per-block engine selection in
+/// the simulate paths.
 void validateFsimOptions(const FsimOptions& opts);
 
 class FaultSimulator {
@@ -207,33 +196,6 @@ class FaultSimulator {
   /// itself (PIs held). Returns newly detected faults.
   size_t simulateBlockTransition(int64_t pattern_base, int n_patterns = -1);
 
-  /// Fills block `block`'s sources into `sim` and returns the number of
-  /// pattern lanes it loaded (1..lanes(); the final block of a run may
-  /// be partial). Batch entry points call it once per block up front.
-  using BlockLoader = std::function<int(size_t block, sim::Simulator2v& sim)>;
-
-  /// Batched stuck-at simulation: snapshots `n_blocks` good-machine
-  /// frames via `load`, then computes every live fault against every
-  /// block in one pool dispatch — per-thread per-block hit queues, one
-  /// serial in-order reduction — so shard/merge overhead is paid once
-  /// per batch instead of once per block. Pattern indices are
-  /// pattern_base + block * lanes() + lane. Bit-identical to calling
-  /// simulateBlockStuckAt per block (a fault dropped by an earlier
-  /// block's reduction is skipped in later blocks' reductions, exactly
-  /// as it would have left the active set). Batches run the per-fault
-  /// engine; with a reach observer attached or BlockEngine::kStemCpt
-  /// pinned, this falls back to the sequential per-block loop (masks are
-  /// engine-exact, so results are unchanged either way). Returns total
-  /// newly detected faults.
-  size_t simulateBatchStuckAt(int64_t pattern_base, size_t n_blocks,
-                              const BlockLoader& load);
-
-  /// Batched transition (LOC broadside) simulation; see
-  /// simulateBatchStuckAt. `load` fills each block's *launch* sources;
-  /// the engine computes each block's capture cycle itself.
-  size_t simulateBatchTransition(int64_t pattern_base, size_t n_blocks,
-                                 const BlockLoader& load);
-
   /// Marks every live fault with no structural path to the observation
   /// set as untestable. Returns how many were marked.
   size_t markUnobservable();
@@ -290,16 +252,6 @@ class FaultSimulator {
   /// The observation set detection masks accumulate over.
   [[nodiscard]] std::span<const GateId> observed() const { return observed_; }
 
-  /// Good-machine next-state of a DFF in the *last* simulated cycle,
-  /// lanes 0..63 (for harvesting captured responses in BIST emulation).
-  [[nodiscard]] uint64_t goodNextState(GateId dff) const {
-    return good_.dffNextState(dff);
-  }
-  /// Word `wi` of the good-machine next-state of a DFF.
-  [[nodiscard]] uint64_t goodNextStateWord(GateId dff, size_t wi) const {
-    return good_.dffNextStateWord(dff, wi);
-  }
-
  private:
   /// Injection outcome for one fault against one good frame: the
   /// faulty-XOR-good block at the site output plus the direct capture
@@ -334,14 +286,6 @@ class FaultSimulator {
   };
   template <size_t W>
   struct ScratchW;
-
-  /// One worker's pending detections for one batch block: parallel
-  /// arrays of compute slots and their W-word mask rows, drained by the
-  /// serial batch reduction.
-  struct HitQueue {
-    std::vector<uint32_t> slots;
-    std::vector<uint64_t> rows;  // lane_words_ words per slot entry
-  };
 
   template <size_t W>
   InjectResultW<W> injectStuckAtW(const Fault& f,
@@ -388,16 +332,11 @@ class FaultSimulator {
   template <size_t W>
   size_t simulateStagedW(int64_t pattern_base, int n_patterns,
                          std::span<const std::vector<GateId>> stages);
-  template <size_t W>
-  size_t simulateBatchW(int64_t pattern_base, size_t n_blocks,
-                        const BlockLoader& load, bool transition);
 
   /// Builds the per-block compute set: with folding, the unique class
   /// representatives of the live faults (merge_slot_ maps each live
   /// fault to its class's compute slot); without, the live faults
-  /// themselves (identity mapping). Representatives are canonical per
-  /// class (liveness-independent), which is what lets a batch reuse one
-  /// compute set across all its blocks.
+  /// themselves (identity mapping).
   void prepareComputeSet();
 
   /// Stem-CPT phases A+B: full-lane stem propagation (sharded) and the
@@ -410,13 +349,6 @@ class FaultSimulator {
   /// observer callbacks, n-detect dropping — in fault-list order.
   /// Width-agnostic: walks lane_words_-wide rows.
   size_t mergeBlock(int64_t pattern_base, bool buffer_reach);
-
-  /// Serial batch reduction: drains the per-thread hit queues block by
-  /// block (fault-list order within a block) with the same bookkeeping
-  /// as mergeBlock; faults dropped by an earlier block are skipped in
-  /// later blocks. Compacts active_ once at the end.
-  size_t reduceBatch(int64_t pattern_base, size_t n_blocks,
-                     unsigned n_threads);
 
   [[nodiscard]] unsigned resolveThreads(size_t n_work_units) const;
   template <size_t W>
@@ -464,28 +396,10 @@ class FaultSimulator {
   std::vector<uint32_t> rep_slot_;      // per-fault slot scratch (kNoSlot)
 
   // Per-block compute results, indexed by position in `compute_faults_`
-  // (block_detect_ stride W). The batch reduction reuses block_detect_
-  // as its epoch-stamped slot-row table.
+  // (block_detect_ stride W).
   std::vector<uint64_t> block_detect_;
   std::vector<uint8_t> block_had_diff_;
   std::vector<std::vector<GateId>> block_touched_;
-
-  // Batch state: per-block good frames (and launch frames for
-  // transition), per-block lane counts, the per-thread per-block hit
-  // queues, the epoch-stamped slot table, and the per-active-position
-  // dropped-in-this-batch flags.
-  std::vector<std::vector<uint64_t>> batch_frames_;
-  std::vector<std::vector<uint64_t>> batch_launch_;
-  std::vector<int> batch_block_lanes_;
-  std::vector<std::vector<HitQueue>> batch_hits_;  // [thread][block]
-  std::vector<uint32_t> batch_slot_stamp_;
-  uint32_t batch_epoch_ = 0;
-  std::vector<uint8_t> batch_dropped_;
-  // Per-compute-slot detections still needed before every active member
-  // of the slot's fault class is dropped (0 = never stop early). Lets
-  // workers skip the blocks a sequentially-dropped fault would never
-  // have been simulated on, without changing any reported mask.
-  std::vector<uint32_t> batch_slot_need_;
 
   std::vector<size_t> active_;
   ReachObserver* reach_observer_ = nullptr;

@@ -17,9 +17,7 @@
 //    soc::PowerModel, benches, tests) reads instead of a raw uint64_t.
 //
 // Storage convention everywhere: per-gate value arrays are gate-major
-// with stride W — gate g's lanes live at words [g*W, g*W + W). The
-// rowXxx helpers operate on such runtime-width rows so width-agnostic
-// bookkeeping (merge phases, dictionaries) needs no templates.
+// with stride W — gate g's lanes live at words [g*W, g*W + W).
 #pragma once
 
 #include <bit>
@@ -55,14 +53,6 @@ struct LaneWord {
   [[nodiscard]] static constexpr LaneWord ones() {
     LaneWord r;
     for (size_t i = 0; i < W; ++i) r.w[i] = ~uint64_t{0};
-    return r;
-  }
-
-  /// Broadcasts one 64-bit word into every word of the block — the
-  /// constant-fill used for forced pins and fixed control sources.
-  [[nodiscard]] static constexpr LaneWord splat(uint64_t v) {
-    LaneWord r;
-    for (size_t i = 0; i < W; ++i) r.w[i] = v;
     return r;
   }
 
@@ -222,22 +212,5 @@ class LaneMask {
   const uint64_t* words_ = nullptr;
   size_t n_words_ = 0;
 };
-
-/// Zeroes a runtime-width row.
-inline void rowClear(uint64_t* row, size_t n_words) {
-  for (size_t i = 0; i < n_words; ++i) row[i] = 0;
-}
-
-/// ORs `src` into `dst` (both `n_words` wide).
-inline void rowOr(uint64_t* dst, const uint64_t* src, size_t n_words) {
-  for (size_t i = 0; i < n_words; ++i) dst[i] |= src[i];
-}
-
-/// True when any word of the row is non-zero.
-[[nodiscard]] inline bool rowAny(const uint64_t* row, size_t n_words) {
-  uint64_t acc = 0;
-  for (size_t i = 0; i < n_words; ++i) acc |= row[i];
-  return acc != 0;
-}
 
 }  // namespace lbist::sim

@@ -95,11 +95,6 @@ class Simulator2v {
     return values_[size_t{nl_->gate(dff).fanins[0].v} * lane_words_];
   }
 
-  /// Word `wi` of the value at a DFF's data pin.
-  [[nodiscard]] uint64_t dffNextStateWord(GateId dff, size_t wi) const {
-    return values_[size_t{nl_->gate(dff).fanins[0].v} * lane_words_ + wi];
-  }
-
   /// The bound netlist.
   [[nodiscard]] const Netlist& netlist() const { return *nl_; }
   /// The levelization the compiled tables were built from.

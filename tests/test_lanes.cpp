@@ -2,7 +2,7 @@
 //
 // The contract under test, from fsim.hpp: at a fixed lane width W the
 // campaign result is bit-identical across thread counts, engines,
-// collapsing, and batched vs sequential dispatch; across widths
+// and collapsing; across widths
 // W in {1, 4, 8}, no-drop detection rows, final statuses, and
 // first-detect patterns are invariant (pattern p receives the same
 // stimulus regardless of how many lanes each block packs), while
@@ -102,8 +102,7 @@ struct CampaignConfig {
   bool collapse = true;
   bool drop = true;
   uint32_t n_detect = 2;
-  bool batched = false;  // one simulateBatch* call vs per-block calls
-  bool staged = false;   // per-domain staged capture (dictionary path)
+  bool staged = false;  // per-domain staged capture (dictionary path)
   bool transition = false;
 };
 
@@ -120,7 +119,6 @@ CampaignState runLaneCampaign(const Netlist& nl, const Stimulus& st,
   opts.collapse = cfg.collapse;
   opts.engine = cfg.engine;
   opts.lane_words = cfg.lane_words;
-  opts.batch_blocks = 4;
   FaultSimulator fsim(nl, faults, fault::fullObservationSet(nl), opts);
   const size_t n_words = st.words.empty() ? 0 : st.words[0].size();
   RowObserver observer(faults.size(), n_words);
@@ -132,44 +130,23 @@ CampaignState runLaneCampaign(const Netlist& nl, const Stimulus& st,
   }
 
   const int64_t block_lanes = static_cast<int64_t>(fsim.lanes());
-  const auto loadInto = [&](auto& sink, int64_t block_base, int lanes) {
-    const size_t word0 = static_cast<size_t>(block_base) / 64;
+  for (int64_t base = 0; base < n_patterns; base += block_lanes) {
+    const int lanes = static_cast<int>(
+        std::min<int64_t>(block_lanes, n_patterns - base));
+    const size_t word0 = static_cast<size_t>(base) / 64;
     const size_t words = (static_cast<size_t>(lanes) + 63) / 64;
     for (size_t k = 0; k < st.sources.size(); ++k) {
       for (size_t wi = 0; wi < fsim.laneWords(); ++wi) {
-        sink.setSourceWord(st.sources[k], wi,
+        fsim.setSourceWord(st.sources[k], wi,
                            wi < words ? st.words[k][word0 + wi] : 0);
       }
     }
-  };
-
-  if (cfg.batched) {
-    const size_t n_blocks = static_cast<size_t>(
-        (n_patterns + block_lanes - 1) / block_lanes);
-    const auto load = [&](size_t b, sim::Simulator2v& sim) -> int {
-      const int64_t base = static_cast<int64_t>(b) * block_lanes;
-      const int lanes = static_cast<int>(
-          std::min<int64_t>(block_lanes, n_patterns - base));
-      loadInto(sim, base, lanes);
-      return lanes;
-    };
     if (cfg.transition) {
-      fsim.simulateBatchTransition(0, n_blocks, load);
+      fsim.simulateBlockTransition(base, lanes);
+    } else if (cfg.staged) {
+      fsim.simulateBlockStuckAtStaged(base, lanes, stages);
     } else {
-      fsim.simulateBatchStuckAt(0, n_blocks, load);
-    }
-  } else {
-    for (int64_t base = 0; base < n_patterns; base += block_lanes) {
-      const int lanes = static_cast<int>(
-          std::min<int64_t>(block_lanes, n_patterns - base));
-      loadInto(fsim, base, lanes);
-      if (cfg.transition) {
-        fsim.simulateBlockTransition(base, lanes);
-      } else if (cfg.staged) {
-        fsim.simulateBlockStuckAtStaged(base, lanes, stages);
-      } else {
-        fsim.simulateBlockStuckAt(base, lanes);
-      }
+      fsim.simulateBlockStuckAt(base, lanes);
     }
   }
 
@@ -261,67 +238,45 @@ TEST(LaneDifferential, NoDropRowsInvariantAcrossWidthsEnginesThreads) {
 }
 
 // ---------------------------------------------------------------------
-// Dropping campaigns: at fixed W everything (including detect_count and
-// the observer stream) is invariant across threads and engines; across
-// widths, statuses and first-detect patterns still match exactly.
+// Dropping campaigns, stuck-at and transition: at fixed W everything
+// (including detect_count and the observer stream) is invariant across
+// threads and engines; across widths, statuses and first-detect patterns
+// still match exactly.
 
 TEST(LaneDifferential, DropCampaignInvariants) {
   for (const Netlist& nl : laneCircuits()) {
     const int64_t n_patterns = 512;
     const Stimulus st = makeStimulus(nl, 8, 7);
 
-    std::vector<CampaignState> per_width;
-    for (const uint32_t W : {1u, 4u, 8u}) {
-      CampaignConfig base_cfg;
-      base_cfg.lane_words = W;
-      const CampaignState base =
-          runLaneCampaign(nl, st, n_patterns, base_cfg);
-      per_width.push_back(base);
+    for (const bool transition : {false, true}) {
+      std::vector<CampaignState> per_width;
+      for (const uint32_t W : {1u, 4u, 8u}) {
+        CampaignConfig base_cfg;
+        base_cfg.lane_words = W;
+        base_cfg.transition = transition;
+        const CampaignState base =
+            runLaneCampaign(nl, st, n_patterns, base_cfg);
+        per_width.push_back(base);
 
-      for (const uint32_t threads : {2u, 4u}) {
-        for (const BlockEngine engine :
-             {BlockEngine::kPerFault, BlockEngine::kStemCpt}) {
-          CampaignConfig cfg = base_cfg;
-          cfg.threads = threads;
-          cfg.engine = engine;
-          ASSERT_EQ(runLaneCampaign(nl, st, n_patterns, cfg), base)
-              << nl.name() << " W=" << W << " threads=" << threads
-              << " engine=" << static_cast<int>(engine);
+        for (const uint32_t threads : {2u, 4u}) {
+          for (const BlockEngine engine :
+               {BlockEngine::kPerFault, BlockEngine::kStemCpt}) {
+            CampaignConfig cfg = base_cfg;
+            cfg.threads = threads;
+            cfg.engine = engine;
+            ASSERT_EQ(runLaneCampaign(nl, st, n_patterns, cfg), base)
+                << nl.name() << " W=" << W << " threads=" << threads
+                << " engine=" << static_cast<int>(engine)
+                << " transition=" << transition;
+          }
         }
       }
-    }
 
-    for (size_t i = 1; i < per_width.size(); ++i) {
-      ASSERT_EQ(per_width[i].status, per_width[0].status) << nl.name();
-      ASSERT_EQ(per_width[i].first_detect, per_width[0].first_detect)
-          << nl.name();
-    }
-  }
-}
-
-// ---------------------------------------------------------------------
-// Batched dispatch vs the sequential per-block loop: bit-identical at
-// every width and thread count, including the observer stream order
-// (rows here, full event equality in test_compiled at W=1).
-
-TEST(LaneDifferential, BatchMatchesSequential) {
-  const Netlist nl = makeIpCore(3, 1'500);
-  const int64_t n_patterns = 1'024;
-  const Stimulus st = makeStimulus(nl, 16, 5);
-
-  for (const uint32_t W : {1u, 4u}) {
-    for (const uint32_t threads : {1u, 2u}) {
-      for (const bool transition : {false, true}) {
-        CampaignConfig seq;
-        seq.lane_words = W;
-        seq.threads = threads;
-        seq.transition = transition;
-        CampaignConfig bat = seq;
-        bat.batched = true;
-        ASSERT_EQ(runLaneCampaign(nl, st, n_patterns, bat),
-                  runLaneCampaign(nl, st, n_patterns, seq))
-            << "W=" << W << " threads=" << threads
-            << " transition=" << transition;
+      for (size_t i = 1; i < per_width.size(); ++i) {
+        ASSERT_EQ(per_width[i].status, per_width[0].status)
+            << nl.name() << " transition=" << transition;
+        ASSERT_EQ(per_width[i].first_detect, per_width[0].first_detect)
+            << nl.name() << " transition=" << transition;
       }
     }
   }

@@ -18,8 +18,11 @@
 #include <vector>
 
 #include "atpg/topup.hpp"
+#include "core/architect.hpp"
+#include "core/flow.hpp"
 #include "fault/fault.hpp"
 #include "fault/fsim.hpp"
+#include "gen/ipcore.hpp"
 #include "gen/refcircuits.hpp"
 #include "gen/soc.hpp"
 #include "obs/obs.hpp"
@@ -245,6 +248,38 @@ std::string fsimSeriesJson(const Netlist& nl, unsigned threads) {
   return text;
 }
 
+/// What one CoverageFlow random phase leaves behind at `threads` fsim
+/// workers: the merged counters, the series bytes, the coverage and
+/// every fault status.
+struct FlowRun {
+  std::vector<std::pair<std::string, uint64_t>> counters;
+  std::string series;
+  fault::Coverage coverage;
+  std::vector<fault::FaultStatus> status;
+};
+
+FlowRun flowRun(const core::BistReadyCore& ready, unsigned threads) {
+  obsAll(true);
+  fault::FsimOptions opts;
+  opts.threads = threads;
+  opts.min_faults_per_thread = 1;
+  core::CoverageFlow flow(ready, /*transition=*/false, opts);
+  FlowRun run;
+  run.coverage = flow.runRandomPhase(2048).coverage;
+  for (const obs::CounterValue& c : obs::counterSnapshot()) {
+    run.counters.emplace_back(c.name, c.value);
+  }
+  const std::string path = "obs_flow_t" + std::to_string(threads) + ".json";
+  EXPECT_TRUE(obs::writeSeriesJson(path));
+  run.series = slurp(path);
+  std::remove(path.c_str());
+  obsAll(false);
+  for (size_t i = 0; i < flow.faults().size(); ++i) {
+    run.status.push_back(flow.faults().record(i).status);
+  }
+  return run;
+}
+
 TEST(ObsSeries, FsimSeriesBytesAreIndependentOfThreadCount) {
   const Netlist nl = gen::buildMiniAlu(32);
   const std::string t1 = fsimSeriesJson(nl, 1);
@@ -255,6 +290,36 @@ TEST(ObsSeries, FsimSeriesBytesAreIndependentOfThreadCount) {
   EXPECT_NE(t1.find("\"work\": ["), std::string::npos);
   EXPECT_EQ(t1, t2);
   EXPECT_EQ(t1, t4);
+
+  // The multi-block CoverageFlow random phase on a small generated core,
+  // with the default block engine, which switches from stem-CPT to
+  // per-fault blocks as dropping thins the live set.
+  gen::IpCoreSpec spec;
+  spec.seed = 100;
+  spec.target_comb_gates = 900;
+  spec.target_ffs = 70;
+  spec.num_inputs = 12;
+  spec.num_outputs = 10;
+  spec.num_domains = 1;
+  spec.num_xsources = 2;
+  spec.num_noscan_ffs = 2;
+  core::LbistConfig cfg;
+  cfg.num_chains = 4;
+  cfg.test_points = 8;
+  cfg.tpi.warmup_patterns = 256;
+  cfg.tpi.guidance_patterns = 128;
+  const core::BistReadyCore ready =
+      core::buildBistReadyCore(gen::generateIpCore(spec), cfg);
+  const FlowRun f1 = flowRun(ready, 1);
+  EXPECT_GT(f1.coverage.detected, 0u);
+  EXPECT_NE(f1.series.find("\"fsim.block\""), std::string::npos);
+  for (const unsigned threads : {2u, 4u}) {
+    const FlowRun got = flowRun(ready, threads);
+    EXPECT_EQ(got.counters, f1.counters) << "threads=" << threads;
+    EXPECT_EQ(got.series, f1.series) << "threads=" << threads;
+    EXPECT_EQ(got.coverage, f1.coverage) << "threads=" << threads;
+    EXPECT_EQ(got.status, f1.status) << "threads=" << threads;
+  }
 }
 
 // ---------------------------------------------------------------------
@@ -369,40 +434,23 @@ struct FsimState {
   friend bool operator==(const FsimState&, const FsimState&) = default;
 };
 
-/// One 8-block stuck-at campaign on 2 worker threads; `batched` selects
-/// the batch dispatcher vs the sequential per-block loop. Patterns are
-/// seeded per block so both paths consume identical stimulus.
-FsimState runFsimCampaign(const Netlist& nl, bool batched) {
+/// One 8-block stuck-at campaign on 2 worker threads. Patterns are
+/// seeded per block.
+FsimState runFsimCampaign(const Netlist& nl) {
   fault::FaultList faults = fault::FaultList::enumerateStuckAt(nl);
   fault::FsimOptions opts;
   opts.threads = 2;
   opts.min_faults_per_thread = 1;
-  opts.batch_blocks = 4;
-  // Pin the per-fault engine: kAuto would route this small dense net to
-  // stem-CPT, whose batch call degenerates to the sequential loop — the
-  // batched leg must exercise the real batch dispatcher.
   opts.engine = fault::BlockEngine::kPerFault;
   fault::FaultSimulator fsim(nl, faults, fault::fullObservationSet(nl),
                              opts);
   constexpr size_t kBlocks = 8;
   FsimState res;
-  const auto fill = [&nl](auto& sink, size_t block) {
-    std::mt19937_64 rng(0x0B5'CAFEu + block);
-    for (GateId pi : nl.inputs()) sink.setSourceWord(pi, 0, rng());
-    for (GateId dff : nl.dffs()) sink.setSourceWord(dff, 0, rng());
-  };
-  if (batched) {
-    res.newly = fsim.simulateBatchStuckAt(
-        0, kBlocks, [&](size_t b, sim::Simulator2v& sim) -> int {
-          fill(sim, b);
-          return 64;
-        });
-  } else {
-    for (size_t b = 0; b < kBlocks; ++b) {
-      fill(fsim, b);
-      res.newly +=
-          fsim.simulateBlockStuckAt(static_cast<int64_t>(b) * 64);
-    }
+  for (size_t b = 0; b < kBlocks; ++b) {
+    std::mt19937_64 rng(0x0B5'CAFEu + b);
+    for (GateId pi : nl.inputs()) fsim.setSourceWord(pi, 0, rng());
+    for (GateId dff : nl.dffs()) fsim.setSourceWord(dff, 0, rng());
+    res.newly += fsim.simulateBlockStuckAt(static_cast<int64_t>(b) * 64);
   }
   for (size_t i = 0; i < faults.size(); ++i) {
     const fault::FaultRecord& rec = faults.record(i);
@@ -413,23 +461,18 @@ FsimState runFsimCampaign(const Netlist& nl, bool batched) {
   return res;
 }
 
-TEST(ObsNeutrality, FsimSequentialAndBatchedAreBitIdentical) {
+TEST(ObsNeutrality, FsimIsBitIdentical) {
   const Netlist nl = gen::buildMiniAlu(32);
-  for (const bool batched : {false, true}) {
-    obsAll(false);
-    const FsimState off = runFsimCampaign(nl, batched);
-    obsAll(true);
-    const FsimState on = runFsimCampaign(nl, batched);
-    // The instrumented leg must actually have counted something — a
-    // silent no-op instrumentation pass would make this test vacuous.
-    EXPECT_GT(obs::counterValue(batched ? "fsim.batch_dispatches"
-                                        : "fsim.blocks"),
-              0u)
-        << "batched=" << batched;
-    EXPECT_GT(obs::counterValue("fsim.events_popped"), 0u);
-    obsAll(false);
-    EXPECT_TRUE(off == on) << "batched=" << batched;
-  }
+  obsAll(false);
+  const FsimState off = runFsimCampaign(nl);
+  obsAll(true);
+  const FsimState on = runFsimCampaign(nl);
+  // The instrumented leg must actually have counted something — a
+  // silent no-op instrumentation pass would make this test vacuous.
+  EXPECT_GT(obs::counterValue("fsim.blocks"), 0u);
+  EXPECT_GT(obs::counterValue("fsim.events_popped"), 0u);
+  obsAll(false);
+  EXPECT_TRUE(off == on);
 }
 
 struct TopUpState {
