@@ -10,6 +10,13 @@
 // A golden (fault-free) run provides the reference signatures; running
 // the same session against a die with an injected defect must flip
 // Result — the end-to-end detection path the coverage numbers assume.
+//
+// Capture pulses evaluate the whole core. Shift pulses evaluate only the
+// logic the loaded scan state depends on (a per-pulse cone-of-influence
+// reduction, worked out per die from the die's own netlist): on an
+// intact die a shift runs no gate at all and each scan cell loads its
+// scan predecessor. The results are those of a full-eval pulse on every
+// edge, which tests/test_core.cpp pins on every stuck-at die of a core.
 #pragma once
 
 #include <cstdint>
@@ -77,7 +84,7 @@ class BistSession {
   /// `die` is the netlist to simulate — pass `core.netlist` for a good
   /// die or a mutated copy (fault::injectStuckAt) for a defective one.
   /// The die must be structurally identical to the BIST-ready core
-  /// (same ports and scan fabric).
+  /// (same ports and scan fabric). Builds the die's shift program.
   BistSession(const BistReadyCore& core, const Netlist& die);
 
   /// Runs a full self-test. When `golden` is non-null the controller
@@ -86,6 +93,10 @@ class BistSession {
                                   const SessionResult* golden = nullptr);
 
  private:
+  /// Sets every input the session holds fixed — all but the SI ports and
+  /// SE, which the session drives — to its session value.
+  void holdInputs();
+  void buildShiftProgram();
   void shiftCycle();
   void seedPrpgs();
 
@@ -96,6 +107,9 @@ class BistSession {
   std::vector<bist::Odc> odcs_;
   std::vector<std::vector<uint8_t>> slice_;     // per domain, per chain
   std::vector<std::vector<uint8_t>> so_slice_;  // per domain, per chain
+  // One shift pulse: the ops to evaluate, then the live flops' loads.
+  std::vector<uint32_t> shift_ops_;
+  std::vector<sim::SeqSimulator::Load> shift_loads_;
 };
 
 }  // namespace lbist::core

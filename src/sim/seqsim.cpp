@@ -23,15 +23,7 @@ void SeqSimulator::resetState(uint64_t word) {
   }
 }
 
-void SeqSimulator::randomizeXSources(uint64_t seed) {
-  xrng_.seed(seed);
-  randomize_x_ = true;
-}
-
 void SeqSimulator::pulse(std::span<const DomainId> domains) {
-  if (randomize_x_) {
-    for (GateId x : sim_.netlist().xsources()) sim_.setSource(x, xrng_());
-  }
   sim_.eval();
   next_.clear();
   for (DomainId d : domains) {
@@ -54,6 +46,19 @@ void SeqSimulator::pulseAll() {
     all.push_back(DomainId{d});
   }
   pulse(all);
+}
+
+void SeqSimulator::pulseOps(std::span<const uint32_t> ops,
+                            std::span<const Load> loads) {
+  const CompiledNetlist& cn = sim_.compiled();
+  uint64_t* v = sim_.rawValues().data();
+  for (uint32_t op : ops) {
+    v[cn.opGate(op)] =
+        cn.evalOp(op, [&](size_t, uint32_t g) { return v[g]; });
+  }
+  next_.resize(loads.size());
+  for (size_t i = 0; i < loads.size(); ++i) next_[i] = v[loads[i].from.v];
+  for (size_t i = 0; i < loads.size(); ++i) v[loads[i].dff.v] = next_[i];
 }
 
 SeqSimulator3v::SeqSimulator3v(const Netlist& nl)

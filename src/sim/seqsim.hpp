@@ -6,11 +6,12 @@
 // values. The BIST clock-gating block (src/bist/clocking.*) lowers its
 // edge timeline onto sequences of pulse() calls, which is what makes the
 // double-capture scheme and inter-domain capture staggering (paper
-// Fig. 2) cycle-accurate in simulation.
+// Fig. 2) cycle-accurate in simulation. A reduced pulse (pulseOps)
+// evaluates a caller-chosen slice of the logic instead; BistSession's
+// shift pulses use it, and pulse() is its full-eval reference.
 #pragma once
 
 #include <cstdint>
-#include <random>
 #include <span>
 #include <vector>
 
@@ -36,16 +37,24 @@ class SeqSimulator {
   /// Sets every DFF state to `word` (per-lane broadcast).
   void resetState(uint64_t word = 0);
 
-  /// If seeded, X-source outputs are re-randomized before every pulse,
-  /// modelling their nondeterminism in two-valued simulation.
-  void randomizeXSources(uint64_t seed);
-
   /// One active edge for each domain in `domains` simultaneously.
   void pulse(std::span<const DomainId> domains);
   /// Single-domain convenience overload of pulse().
   void pulse(DomainId domain) { pulse({&domain, 1}); }
   /// One active edge for every domain (classic synchronous cycle).
   void pulseAll();
+
+  /// One flop load of a reduced pulse: `dff` takes the value of `from`.
+  struct Load {
+    GateId dff;
+    GateId from;
+  };
+  /// Reduced active edge: evaluates only `ops` (compiled op indices in
+  /// ascending, hence topological, order), then every `loads` flop takes
+  /// its source's value at once. It equals a pulse() of those flops only
+  /// if every other gate the ops and loads read already holds its value;
+  /// the caller guarantees that.
+  void pulseOps(std::span<const uint32_t> ops, std::span<const Load> loads);
 
   /// Evaluates combinational logic without clocking anything (to inspect
   /// steady-state values, e.g. PO reads between pulses).
@@ -55,13 +64,15 @@ class SeqSimulator {
   [[nodiscard]] uint64_t value(GateId id) const { return sim_.value(id); }
   /// The bound netlist.
   [[nodiscard]] const Netlist& netlist() const { return sim_.netlist(); }
+  /// The compiled tables pulse() evaluates (op indices for pulseOps()).
+  [[nodiscard]] const CompiledNetlist& compiled() const {
+    return sim_.compiled();
+  }
 
  private:
   Simulator2v sim_;
   std::vector<std::vector<GateId>> dffs_by_domain_;
-  std::vector<uint64_t> next_;  // captured D values, one per pulsed DFF
-  std::mt19937_64 xrng_;
-  bool randomize_x_ = false;
+  std::vector<uint64_t> next_;  // captured D values, one per loaded DFF
 };
 
 /// Three-valued counterpart of SeqSimulator (power-on X analysis,

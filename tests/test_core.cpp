@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <random>
 #include <stdexcept>
+#include <string>
 
 #include "core/architect.hpp"
 #include "core/flow.hpp"
@@ -12,9 +14,12 @@
 #include "core/session.hpp"
 #include "core/thread_pool.hpp"
 #include "dft/xbound.hpp"
+#include "fault/fault.hpp"
 #include "fault/inject.hpp"
 #include "gen/ipcore.hpp"
 #include "netlist/stats.hpp"
+#include "obs/obs.hpp"
+#include "sim/seqsim.hpp"
 
 namespace lbist::core {
 namespace {
@@ -144,6 +149,237 @@ TEST(Session, SingleCaptureModeRuns) {
   const SessionResult r = s.run(opts);
   EXPECT_TRUE(r.finish);
   EXPECT_EQ(r.capture_pulses, static_cast<uint64_t>(4 * 2 * 1));
+}
+
+/// Reference for BistSession::run: the same schedule, PRPGs, MISRs and
+/// controller, but every shift and capture pulse is a full-eval
+/// SeqSimulator pulse that loads every flop of the pulsed domains.
+SessionResult fullEvalRun(const BistReadyCore& core, const Netlist& die,
+                          const SessionOptions& opts) {
+  sim::SeqSimulator sim(die);
+  for (GateId pi : die.inputs()) sim.setInput(pi, 0);
+  if (core.scan.test_mode_port.valid()) {
+    sim.setInput(core.scan.test_mode_port, ~uint64_t{0});
+  }
+  if (auto tm = die.findGateByName("test_mode")) {
+    sim.setInput(*tm, ~uint64_t{0});
+  }
+  std::vector<bist::Prpg> prpgs;
+  std::vector<bist::Odc> odcs;
+  for (const DomainBist& db : core.domain_bist) {
+    prpgs.emplace_back(db.prpg);
+    prpgs.back().loadSeed(db.prpg.seed);
+    odcs.emplace_back(db.odc);
+  }
+  const auto shift = [&] {
+    for (size_t i = 0; i < prpgs.size(); ++i) {
+      const std::vector<size_t>& chains = core.domain_bist[i].chain_indices;
+      std::vector<uint8_t> so;
+      for (size_t ci : chains) {
+        so.push_back(static_cast<uint8_t>(
+            sim.state(core.scan.chains[ci].so_driver) & 1u));
+      }
+      odcs[i].compact(so);
+      std::vector<uint8_t> si(chains.size(), 0);
+      prpgs[i].nextSlice(si);
+      for (size_t c = 0; c < chains.size(); ++c) {
+        sim.setInput(core.scan.chains[chains[c]].si_port,
+                     si[c] != 0 ? ~uint64_t{0} : 0);
+      }
+    }
+    sim.pulseAll();
+  };
+
+  SessionResult res;
+  bist::BistController ctrl;
+  ctrl.setSignatureInterval(opts.signature_interval);
+  ctrl.start();
+  ctrl.seedsLoaded();
+  const int shift_cycles = core.shiftCyclesPerPattern();
+  bist::BistSchedule sched(
+      die.domains(), opts.timing_override.value_or(core.config.timing),
+      shift_cycles, opts.patterns, opts.capture_order);
+  using Kind = bist::ScheduleEvent::Kind;
+  while (auto ev = sched.next()) {
+    ctrl.onEvent(*ev);
+    if (ctrl.checkpointDue()) {
+      SignatureCheckpoint cp;
+      cp.patterns_done = ctrl.patternsDone();
+      for (bist::Odc& odc : odcs) cp.domain_words.push_back(odc.signature());
+      res.checkpoints.push_back(std::move(cp));
+    }
+    if (ev->kind == Kind::kShiftPulse || ev->kind == Kind::kSeRise) {
+      sim.setInput(core.scan.se_port, ~uint64_t{0});
+    }
+    if (ev->kind == Kind::kSeFall) sim.setInput(core.scan.se_port, 0);
+    if (ev->kind == Kind::kShiftPulse) shift();
+    if (ev->kind == Kind::kLaunchPulse || ev->kind == Kind::kCapturePulse) {
+      sim.pulse(ev->domain);
+    }
+    if (ev->kind == Kind::kSessionEnd) res.session_ps = ev->time_ps;
+  }
+  if (opts.final_unload) {
+    sim.setInput(core.scan.se_port, ~uint64_t{0});
+    for (int s = 0; s < shift_cycles; ++s) shift();
+  }
+  res.patterns_done = ctrl.patternsDone();
+  res.shift_pulses = ctrl.shiftPulses();
+  res.capture_pulses = ctrl.capturePulses();
+  for (bist::Odc& odc : odcs) res.signature_words.push_back(odc.signature());
+  return res;
+}
+
+/// FNV-1a over everything a session reports that diagnosis and the
+/// campaign consume.
+uint64_t sessionHash(const SessionResult& r) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  const auto mix = [&](uint64_t word) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (word >> (8 * b)) & 0xffu;
+      h *= 0x100000001b3ull;
+    }
+  };
+  const auto mixWords = [&](const std::vector<std::vector<uint64_t>>& ws) {
+    mix(ws.size());
+    for (const std::vector<uint64_t>& w : ws) {
+      mix(w.size());
+      for (uint64_t x : w) mix(x);
+    }
+  };
+  mixWords(r.signature_words);
+  mix(r.checkpoints.size());
+  for (const SignatureCheckpoint& cp : r.checkpoints) {
+    mix(static_cast<uint64_t>(cp.patterns_done));
+    mixWords(cp.domain_words);
+  }
+  mix(static_cast<uint64_t>(r.patterns_done));
+  mix(r.shift_pulses);
+  mix(r.capture_pulses);
+  mix(r.session_ps);
+  mix(r.finish ? 1 : 0);
+  return h;
+}
+
+/// A small two-domain core whose whole stuck-at universe replays in a
+/// few seconds: it has X-sources, non-scan flops and wrapped IOs, so its
+/// faults hit the SE and test_mode fanouts, the X-blocking ANDs, the
+/// scan muxes and the non-scan flop outputs.
+BistReadyCore sweepCore() {
+  gen::IpCoreSpec spec;
+  spec.seed = 3;
+  spec.target_comb_gates = 120;
+  spec.target_ffs = 14;
+  spec.num_inputs = 5;
+  spec.num_outputs = 4;
+  spec.num_domains = 2;
+  spec.num_xsources = 2;
+  spec.num_noscan_ffs = 2;
+  spec.resistant_cone_width = 6;
+  LbistConfig cfg = smallConfig();
+  cfg.test_points = 4;
+  return buildBistReadyCore(gen::generateIpCore(spec), cfg);
+}
+
+TEST(Session, ShiftPulsesMatchTheFullEvalReference) {
+  // BistSession's shift pulses evaluate only what the scan state they
+  // load depends on; the reference evaluates the whole core on every
+  // pulse. Both must agree on every die, including every single
+  // stuck-at die of the sweep core.
+  const BistReadyCore ready = sweepCore();
+  ASSERT_EQ(ready.domain_bist.size(), 2u);
+  ASSERT_GT(ready.xbound.bounded_xsources, 0u);
+  ASSERT_GT(ready.xbound.bounded_noscan_ffs, 0u);
+  ASSERT_GT(ready.scan.wrapper_cells, 0u);
+  fault::FaultListOptions fo;
+  fo.collapse = false;
+  const fault::FaultList fl =
+      fault::FaultList::enumerateStuckAt(ready.netlist, fo);
+
+  for (bool double_capture : {false, true}) {
+    SessionOptions opts;
+    opts.patterns = 3;
+    opts.signature_interval = 1;
+    bist::AtSpeedTimingConfig timing = ready.config.timing;
+    timing.double_capture = double_capture;
+    opts.timing_override = timing;
+    const auto check = [&](const Netlist& die, const std::string& what) {
+      const SessionResult want = fullEvalRun(ready, die, opts);
+      BistSession session(ready, die);
+      const SessionResult got = session.run(opts);
+      ASSERT_EQ(got.signature_words, want.signature_words) << what;
+      ASSERT_EQ(got.checkpoints, want.checkpoints) << what;
+      ASSERT_EQ(got.shift_pulses, want.shift_pulses) << what;
+      ASSERT_EQ(got.capture_pulses, want.capture_pulses) << what;
+    };
+    const std::string mode =
+        double_capture ? "double capture, " : "single capture, ";
+    check(ready.netlist, mode + "golden die");
+    for (size_t i = 0; i < fl.size(); ++i) {
+      Netlist die = ready.netlist;
+      const fault::Fault& f = fl.record(i).fault;
+      fault::injectStuckAt(die, f);
+      check(die, mode + f.describe(ready.netlist));
+    }
+  }
+}
+
+TEST(Session, IntactDieShiftsEvaluateNoOps) {
+  // session.ops counts the compiled ops the pulses evaluated: on an
+  // intact die only the capture pulses evaluate any, the whole core each.
+  const BistReadyCore ready = buildBistReadyCore(testCore(), smallConfig());
+  SessionOptions opts;
+  opts.patterns = 6;
+  obs::setMetricsEnabled(true);
+  obs::resetAll();
+  BistSession session(ready, ready.netlist);
+  const SessionResult r = session.run(opts);
+  const uint64_t pulses = obs::counterValue("session.pulses");
+  const uint64_t ops = obs::counterValue("session.ops");
+  obs::setMetricsEnabled(false);
+  obs::resetAll();
+  const uint64_t unload =
+      static_cast<uint64_t>(ready.shiftCyclesPerPattern());
+  EXPECT_EQ(pulses, r.shift_pulses + unload + r.capture_pulses);
+  EXPECT_EQ(ops, r.capture_pulses *
+                     sim::SeqSimulator(ready.netlist).compiled().numOps());
+}
+
+TEST(Session, ResultsMatchTheRecordedSessions) {
+  // Golden and three seeded defective dies of testCore(), in single and
+  // double capture. The hashes were recorded from the full-eval session
+  // that preceded the reduced shift pulses.
+  const BistReadyCore ready = buildBistReadyCore(testCore(), smallConfig());
+  const fault::FaultList fl =
+      fault::FaultList::enumerateStuckAt(ready.netlist);
+  std::vector<Netlist> dies{ready.netlist};
+  std::mt19937_64 rng(14);
+  for (int k = 0; k < 3; ++k) {
+    dies.push_back(ready.netlist);
+    fault::injectStuckAt(dies.back(), fl.record(rng() % fl.size()).fault);
+  }
+  std::vector<uint64_t> hashes;
+  for (bool double_capture : {false, true}) {
+    SessionOptions opts;
+    opts.patterns = 12;
+    opts.signature_interval = 4;
+    bist::AtSpeedTimingConfig timing = ready.config.timing;
+    timing.double_capture = double_capture;
+    opts.timing_override = timing;
+    for (const Netlist& die : dies) {
+      BistSession session(ready, die);
+      hashes.push_back(sessionHash(session.run(opts)));
+    }
+  }
+  const std::vector<uint64_t> recorded{
+      0x4ba7ba372df9722eull, 0x2f2912ae93176130ull, 0x279a429027ee3f62ull,
+      0x7293b5ec8a370b43ull, 0x29c061debef29401ull, 0xf8d2b83f2e9648cfull,
+      0x27647a584cef8b94ull, 0xa773fc27f8e0f3d2ull,
+  };
+  for (size_t i = 0; i < hashes.size(); ++i) {
+    EXPECT_EQ(hashes[i], recorded[i])
+        << (i < 4 ? "single" : "double") << " capture, die " << i % 4
+        << std::hex << ": 0x" << hashes[i];
+  }
 }
 
 TEST(Flow, RandomPhaseReachesReasonableCoverage) {

@@ -608,6 +608,8 @@ TEST(ObsNeutrality, SocCampaignAndCheckpointBytesAreBitIdentical) {
   EXPECT_EQ(obs::counterValue("soc.cores_run"), 4u);
   EXPECT_EQ(obs::counterValue("soc.groups"), sched.groups.size());
   EXPECT_GT(obs::counterValue("prpg.block_loads"), 0u);
+  EXPECT_GT(obs::counterValue("session.pulses"), 0u);
+  EXPECT_GT(obs::counterValue("session.ops"), 0u);
   // The new instruments all saw traffic in the on-leg: series samples
   // at the group merges, structured events, and memory gauges.
   bool group_series = false;
