@@ -95,7 +95,6 @@ int main() {
   // --- 2. arm the hang ----------------------------------------------------
 #ifndef LBIST_ROBUST_OFF
   robust::FaultPlan plan;
-  plan.seed = 1;
   plan.rules.push_back(robust::FaultRule{.point = "campaign.job.run",
                                          .key = victim,
                                          .action = robust::FaultAction::kHang,

@@ -580,7 +580,7 @@ AtpgStatus Podem::generateImpl(const fault::Fault& f, TestCube& out) {
   // default polarities, which almost always rescues faults with dense
   // solution spaces.
   AtpgStatus last = AtpgStatus::kAborted;
-  for (int attempt = 0; attempt <= opts_.restarts; ++attempt) {
+  for (int attempt = 0; attempt <= kPodemRestarts; ++attempt) {
     if (attempt > 0) ++restarts_used_;
     salt_ = attempt == 0
                 ? 0

@@ -62,10 +62,11 @@ struct TestCube {
 struct AtpgOptions {
   /// Backtracks allowed per search attempt.
   int backtrack_limit = 256;
-  /// Extra salted-polarity attempts after an aborted search (see
-  /// Podem::generate); 0 disables restarts.
-  int restarts = 3;
 };
+
+/// Extra salted-polarity attempts both PODEM engines make after an
+/// aborted search (see Podem::generate).
+inline constexpr int kPodemRestarts = 3;
 
 /// Engine interface the top-up driver targets: one deterministic
 /// test-cube search per generate() call. Implementations must be

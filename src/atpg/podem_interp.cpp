@@ -518,7 +518,7 @@ AtpgStatus PodemInterpreted::generate(const fault::Fault& f, TestCube& out) {
   // default polarities, which almost always rescues faults with dense
   // solution spaces.
   AtpgStatus last = AtpgStatus::kAborted;
-  for (int attempt = 0; attempt <= opts_.restarts; ++attempt) {
+  for (int attempt = 0; attempt <= kPodemRestarts; ++attempt) {
     salt_ = attempt == 0
                 ? 0
                 : (0x9E3779B97F4A7C15ULL * static_cast<uint64_t>(attempt));

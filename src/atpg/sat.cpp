@@ -395,12 +395,11 @@ SatResult CdclSolver::solve(uint64_t conflict_limit) {
 }
 
 SatEngine::SatEngine(const Netlist& nl, std::vector<GateId> observed,
-                     std::vector<GateId> assignable, SatOptions opts)
+                     std::vector<GateId> assignable)
     : nl_(&nl),
       lev_(nl),
       cn_(nl, lev_),
-      enc_(nl, cn_, observed, assignable),
-      opts_(opts) {}
+      enc_(nl, cn_, observed, assignable) {}
 
 void SatEngine::fixSource(GateId id, bool value) {
   enc_.fixSource(id, value);
@@ -418,7 +417,7 @@ AtpgStatus SatEngine::generate(const fault::Fault& f, TestCube& out) {
       ROBUST_POINT("atpg.sat.solve", f.describe(*nl_),
                    robust::kCanThrow | robust::kCanHang);
   if (act == robust::FaultAction::kHang) {
-    last_conflicts_ = opts_.conflict_limit;
+    last_conflicts_ = kConflictLimit;
     OBS_COUNT("atpg.sat.aborts", 1);
     ++stats_.aborted;
     return AtpgStatus::kAborted;
@@ -444,7 +443,7 @@ AtpgStatus SatEngine::generate(const fault::Fault& f, TestCube& out) {
   SatResult r = SatResult::kUnknown;
   {
     OBS_SPAN("atpg.sat.search");
-    r = solver_.solve(opts_.conflict_limit);
+    r = solver_.solve(kConflictLimit);
   }
   const SatStats& ss = solver_.stats();
   last_conflicts_ = ss.conflicts;

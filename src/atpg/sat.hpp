@@ -163,13 +163,6 @@ class CdclSolver {
   SatStats stats_;
 };
 
-/// Effort knob for the SAT engine: conflicts allowed per target before
-/// the solve reports kAborted (the analogue of the PODEM backtrack
-/// budget, sized so real miters essentially never hit it).
-struct SatOptions {
-  uint64_t conflict_limit = 200'000;
-};
-
 /// Cumulative tallies across every generate() call of one SatEngine
 /// (mirrored into the obs counters; exposed directly so the bench sweep
 /// reports them without enabling obs).
@@ -194,10 +187,15 @@ struct SatEngineStats {
 /// target, so one engine serves one thread at a time.
 class SatEngine final : public PodemEngine {
  public:
+  /// Conflicts allowed per target before the solve reports kAborted
+  /// (the analogue of the PODEM backtrack budget, sized so real miters
+  /// essentially never hit it).
+  static constexpr uint64_t kConflictLimit = 200'000;
+
   /// Same observability contract as the Podem constructor: `observed`
   /// nets the tester sees, `assignable` sources ATPG may drive.
   SatEngine(const Netlist& nl, std::vector<GateId> observed,
-            std::vector<GateId> assignable, SatOptions opts = {});
+            std::vector<GateId> assignable);
 
   /// Holds a source at a constant for every subsequent run.
   void fixSource(GateId id, bool value) override;
@@ -221,7 +219,6 @@ class SatEngine final : public PodemEngine {
   sim::CompiledNetlist cn_;
   MiterEncoder enc_;
   CdclSolver solver_;
-  SatOptions opts_;
   uint64_t last_conflicts_ = 0;
   SatEngineStats stats_;
 };

@@ -49,7 +49,7 @@ std::unique_ptr<PodemEngine> makeEngine(
     engine = std::make_unique<PodemInterpreted>(nl, observed, assignable,
                                                 cfg.atpg);
   } else if (cfg.engine == AtpgEngine::kSat) {
-    engine = std::make_unique<SatEngine>(nl, observed, assignable, cfg.sat);
+    engine = std::make_unique<SatEngine>(nl, observed, assignable);
   } else {
     engine = std::make_unique<Podem>(nl, observed, assignable, cfg.atpg);
   }
@@ -58,12 +58,10 @@ std::unique_ptr<PodemEngine> makeEngine(
 }
 
 std::unique_ptr<SatEngine> makeSatEngine(
-    const TopUpConfig& cfg, const Netlist& nl,
-    const std::vector<GateId>& observed,
+    const Netlist& nl, const std::vector<GateId>& observed,
     const std::vector<GateId>& assignable,
     const std::vector<std::pair<GateId, bool>>& fixed_sources) {
-  auto engine =
-      std::make_unique<SatEngine>(nl, observed, assignable, cfg.sat);
+  auto engine = std::make_unique<SatEngine>(nl, observed, assignable);
   for (const auto& [id, v] : fixed_sources) engine->fixSource(id, v);
   return engine;
 }
@@ -245,10 +243,11 @@ TopUpResult runTopUp(const Netlist& nl, fault::FaultList& faults,
 
   // Dominance-prunable faults are deferred: their tests come for free
   // with the faults they dominate. Once the main pass runs dry the
-  // deferral is lifted and any survivors are targeted directly.
+  // deferral is lifted and any survivors are targeted directly, so
+  // coverage never drops; only targeting work and pattern count shrink.
+  // Nothing is deferred when the simulator was built with collapsing off.
   const fault::CollapseMap& cmap = fsim.collapseMap();
-  bool defer_prunable =
-      cfg.dominance_prune && !cmap.representatives().empty();
+  bool defer_prunable = !cmap.representatives().empty();
 
   std::vector<size_t> targets;
   std::vector<TestCube> cubes;
@@ -348,7 +347,7 @@ TopUpResult runTopUp(const Netlist& nl, fault::FaultList& faults,
         // of which shard ran the solve.
         if (sat_engines[shard] == nullptr) {
           sat_engines[shard] =
-              makeSatEngine(cfg, nl, observed, assignable, fixed_sources);
+              makeSatEngine(nl, observed, assignable, fixed_sources);
         }
         SatEngine& sat = *sat_engines[shard];
         escalated[k] = 1;
@@ -427,19 +426,17 @@ TopUpResult runTopUp(const Netlist& nl, fault::FaultList& faults,
           ++batch_targets;
           break;
       }
-      if (cfg.compact) {
-        bool merged = false;
-        for (TestCube& existing : batch) {
-          if (existing.compatibleWith(cubes[k])) {
-            existing.mergeFrom(cubes[k]);
-            merged = true;
-            break;
-          }
+      // Static compaction: merge into the first batch cube whose care
+      // bits agree.
+      bool merged = false;
+      for (TestCube& existing : batch) {
+        if (existing.compatibleWith(cubes[k])) {
+          existing.mergeFrom(cubes[k]);
+          merged = true;
+          break;
         }
-        if (!merged) batch.push_back(std::move(cubes[k]));
-      } else {
-        batch.push_back(std::move(cubes[k]));
       }
+      if (!merged) batch.push_back(std::move(cubes[k]));
     }
     if (obs::metricsEnabled()) {
       // Transient charge of the solvers' clause-arena high-water at the

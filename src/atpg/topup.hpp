@@ -54,16 +54,6 @@ struct TopUpConfig {
   /// Stop after this many merged patterns (0 = unlimited). Checked per
   /// round, so the final count may overshoot by at most one batch.
   size_t max_patterns = 0;
-  /// Static compaction: merge cubes whose care bits agree.
-  bool compact = true;
-  /// Defer targeting faults the collapse analysis marks
-  /// dominance-prunable (any test for some other listed fault detects
-  /// them, so the batch fault simulation usually drops them for free).
-  /// A second pass still targets whatever survives deferral, so final
-  /// coverage is never reduced — only the targeting work and the
-  /// pattern count shrink. No-op when the simulator was built with
-  /// collapsing off.
-  bool dominance_prune = true;
   /// Worker threads for cube generation (0 = hardware concurrency).
   /// Pattern sets, statuses, and statistics are bit-identical for every
   /// value.
@@ -84,8 +74,6 @@ struct TopUpConfig {
   /// behavior (and the fault-injection drills that rely on it) is
   /// opt-in, not silently rewritten. No-op when engine == kSat.
   bool sat_escalate = false;
-  /// Effort knob for escalation / primary-SAT solves.
-  SatOptions sat;
 };
 
 /// Flow outcome: the deterministic pattern set plus targeting

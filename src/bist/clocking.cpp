@@ -38,13 +38,11 @@ std::string AtSpeedTimingConfig::validate(
 
 BistSchedule::BistSchedule(std::span<const ClockDomain> domains,
                            const AtSpeedTimingConfig& cfg, int shift_cycles,
-                           int64_t n_patterns,
-                           std::vector<DomainId> capture_order)
+                           int64_t n_patterns)
     : domains_(domains.begin(), domains.end()),
       cfg_(cfg),
       shift_cycles_(shift_cycles),
-      n_patterns_(n_patterns),
-      capture_order_(std::move(capture_order)) {
+      n_patterns_(n_patterns) {
   const std::string problem = cfg.validate(domains);
   if (!problem.empty()) {
     throw std::invalid_argument("invalid BIST timing: " + problem);
@@ -52,19 +50,9 @@ BistSchedule::BistSchedule(std::span<const ClockDomain> domains,
   if (shift_cycles <= 0 || n_patterns <= 0) {
     throw std::invalid_argument("need >= 1 shift cycle and >= 1 pattern");
   }
-  if (capture_order_.empty()) {
-    for (uint16_t d = 0; d < domains_.size(); ++d) {
-      capture_order_.push_back(DomainId{d});
-    }
-  }
   // One idle shift period of lead-in after Start, so the first shift edge
   // is a real 0->1 transition on every gated clock.
   pattern_t0_ = cfg_.shift_period_ps;
-  for (DomainId d : capture_order_) {
-    if (!d.valid() || d.v >= domains_.size()) {
-      throw std::invalid_argument("capture order names unknown domain");
-    }
-  }
 }
 
 uint64_t BistSchedule::lastShiftEdge() const {
@@ -76,33 +64,19 @@ uint64_t BistSchedule::captureEdge(size_t domain_i, int pulse_i) const {
   uint64_t t = lastShiftEdge() + cfg_.d1_ps;
   for (size_t j = 0; j < domain_i; ++j) {
     if (cfg_.double_capture) {
-      t += domains_[capture_order_[j].v].period_ps;  // C1 -> C2 span
+      t += domains_[j].period_ps;  // C1 -> C2 span
     }
     t += cfg_.d3_ps;  // stagger gap to the next domain pair
   }
-  if (pulse_i == 1) t += domains_[capture_order_[domain_i].v].period_ps;
+  if (pulse_i == 1) t += domains_[domain_i].period_ps;
   return t;
 }
 
-uint64_t BistSchedule::captureWindowPs() const {
-  const size_t last = capture_order_.size() - 1;
-  const int last_pulse = cfg_.double_capture ? 1 : 0;
-  // Window from the first capture edge to the last one.
-  return captureEdge(last, last_pulse) - captureEdge(0, 0);
-}
-
 uint64_t BistSchedule::patternLengthPs() const {
-  const size_t last = capture_order_.size() - 1;
+  const size_t last = domains_.size() - 1;
   const int last_pulse = cfg_.double_capture ? 1 : 0;
   const uint64_t last_capture = captureEdge(last, last_pulse);
   return last_capture - pattern_t0_ + cfg_.d5_ps;
-}
-
-uint64_t BistSchedule::sessionLengthPs() const {
-  // Pattern length is pattern-invariant (t0 cancels).
-  BistSchedule probe = *this;
-  probe.pattern_t0_ = 0;
-  return probe.patternLengthPs() * static_cast<uint64_t>(n_patterns_);
 }
 
 std::optional<ScheduleEvent> BistSchedule::next() {
@@ -127,7 +101,7 @@ std::optional<ScheduleEvent> BistSchedule::next() {
                            pattern_, 0};
     }
     case Phase::kCapture: {
-      const DomainId dom = capture_order_[capture_domain_i_];
+      const DomainId dom{static_cast<uint16_t>(capture_domain_i_)};
       const bool is_launch = cfg_.double_capture && capture_pulse_i_ == 0;
       ScheduleEvent ev{is_launch ? ScheduleEvent::Kind::kLaunchPulse
                                  : ScheduleEvent::Kind::kCapturePulse,
@@ -137,14 +111,14 @@ std::optional<ScheduleEvent> BistSchedule::next() {
         capture_pulse_i_ = 1;
       } else {
         capture_pulse_i_ = 0;
-        if (++capture_domain_i_ >= capture_order_.size()) {
+        if (++capture_domain_i_ >= domains_.size()) {
           phase_ = Phase::kSeRise;
         }
       }
       return ev;
     }
     case Phase::kSeRise: {
-      const size_t last = capture_order_.size() - 1;
+      const size_t last = domains_.size() - 1;
       const int last_pulse = cfg_.double_capture ? 1 : 0;
       const uint64_t t = captureEdge(last, last_pulse) + cfg_.d5_ps / 2;
       phase_ = Phase::kPatternEnd;
@@ -182,8 +156,7 @@ sim::Waveform BistSchedule::renderWaveform(int64_t max_patterns) const {
   const auto se = wf.addSignal("SE", sim::WireValue::kHigh);
 
   BistSchedule gen(domains_, cfg_, shift_cycles_,
-                   std::min<int64_t>(max_patterns, n_patterns_),
-                   capture_order_);
+                   std::min<int64_t>(max_patterns, n_patterns_));
   while (auto ev = gen.next()) {
     switch (ev->kind) {
       case ScheduleEvent::Kind::kShiftPulse:

@@ -56,29 +56,18 @@ struct ScheduleEvent {
 
 /// Lazily generates the full self-test edge timeline, one pattern at a
 /// time: shift_cycles shift pulses, SE fall, per-domain (C1, C2) pairs in
-/// `capture_order`, SE rise. Domains capture in the given order so d3 can
-/// exceed the worst inter-domain skew.
+/// netlist domain order, SE rise. The d3 gap between consecutive domain
+/// pairs is what absorbs inter-domain clock skew.
 class BistSchedule {
  public:
   BistSchedule(std::span<const ClockDomain> domains,
                const AtSpeedTimingConfig& cfg, int shift_cycles,
-               int64_t n_patterns,
-               std::vector<DomainId> capture_order = {});
+               int64_t n_patterns);
 
   /// Next event in time order; nullopt after kSessionEnd was returned.
   std::optional<ScheduleEvent> next();
 
-  [[nodiscard]] int shiftCycles() const { return shift_cycles_; }
   [[nodiscard]] int64_t patterns() const { return n_patterns_; }
-  [[nodiscard]] std::span<const DomainId> captureOrder() const {
-    return capture_order_;
-  }
-
-  /// Capture-window length in ps (sum of periods + stagger gaps).
-  [[nodiscard]] uint64_t captureWindowPs() const;
-
-  /// Total session length in ps.
-  [[nodiscard]] uint64_t sessionLengthPs() const;
 
   /// Renders the first `max_patterns` patterns as a waveform with one TCK
   /// trace per domain, the common PRPG/MISR clock CCK, and SE — the
@@ -92,7 +81,6 @@ class BistSchedule {
   AtSpeedTimingConfig cfg_;
   int shift_cycles_;
   int64_t n_patterns_;
-  std::vector<DomainId> capture_order_;
 
   // Generator state.
   enum class Phase : uint8_t {

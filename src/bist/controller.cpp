@@ -46,7 +46,6 @@ void BistController::start() {
   signatures_match_ = false;
   match_provided_ = false;
   checkpoint_due_ = false;
-  checkpoints_done_ = 0;
 }
 
 void BistController::seedsLoaded() {
@@ -91,7 +90,6 @@ void BistController::onEvent(const ScheduleEvent& ev) {
       if (signature_interval_ > 0 &&
           patterns_done_ % signature_interval_ == 0) {
         checkpoint_due_ = true;
-        ++checkpoints_done_;
       }
       state_ = ControllerState::kShift;
       return;

@@ -37,7 +37,6 @@ class BistController {
   [[nodiscard]] bool result() const {
     return finish() && signatures_match_;
   }
-  [[nodiscard]] bool scanEnable() const { return se_; }
 
   // --- event-driven FSM ----------------------------------------------------
   /// Seeds are loaded (Boundary-Scan done); transitions kSeedLoad->kShift.
@@ -58,11 +57,7 @@ class BistController {
   /// (src/diag) uses the snapshots to narrow a failing run to failing
   /// windows before replaying. Set before start().
   void setSignatureInterval(int64_t k) { signature_interval_ = k; }
-  [[nodiscard]] int64_t signatureInterval() const {
-    return signature_interval_;
-  }
   [[nodiscard]] bool checkpointDue() const { return checkpoint_due_; }
-  [[nodiscard]] int64_t checkpointsDone() const { return checkpoints_done_; }
 
   [[nodiscard]] ControllerState state() const { return state_; }
   [[nodiscard]] int64_t patternsDone() const { return patterns_done_; }
@@ -79,7 +74,6 @@ class BistController {
   uint64_t capture_pulses_ = 0;
   int64_t signature_interval_ = 0;
   bool checkpoint_due_ = false;
-  int64_t checkpoints_done_ = 0;
 };
 
 }  // namespace lbist::bist

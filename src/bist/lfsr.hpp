@@ -24,7 +24,6 @@ class Lfsr {
 
   [[nodiscard]] int length() const { return length_; }
   [[nodiscard]] uint64_t state() const { return state_; }
-  [[nodiscard]] uint64_t stateMask() const { return mask_; }
   void setState(uint64_t s);
 
   /// Serial output observed this cycle (cell 0).

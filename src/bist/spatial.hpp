@@ -44,7 +44,6 @@ class SpaceCompactor {
  public:
   SpaceCompactor(int chain_outputs, int misr_inputs);
 
-  [[nodiscard]] int chainOutputs() const { return chains_; }
   [[nodiscard]] int misrInputs() const { return misr_; }
 
   void apply(std::span<const uint8_t> chain_out,

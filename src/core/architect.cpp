@@ -5,13 +5,6 @@
 
 namespace lbist::core {
 
-const DomainBist* BistReadyCore::bistFor(DomainId d) const {
-  for (const DomainBist& db : domain_bist) {
-    if (db.domain == d) return &db;
-  }
-  return nullptr;
-}
-
 BistReadyCore buildBistReadyCore(const Netlist& core,
                                  const LbistConfig& cfg) {
   BistReadyCore out;
@@ -46,11 +39,10 @@ BistReadyCore buildBistReadyCore(const Netlist& core,
     throw std::logic_error("BIST-ready netlist invalid: " + problem);
   }
 
-  // 4. Per-domain PRPG/MISR sizing.
+  // 4. Per-domain PRPG/MISR sizing. The phase-shifter channel separation
+  // must exceed the longest chain; it is twice the longest chain.
   const uint64_t separation =
-      cfg.ps_separation != 0
-          ? cfg.ps_separation
-          : 2 * std::max<uint64_t>(1, out.scan.max_chain_length);
+      2 * std::max<uint64_t>(1, out.scan.max_chain_length);
   for (uint16_t d = 0; d < out.netlist.numDomains(); ++d) {
     std::vector<size_t> chain_idx;
     for (size_t c = 0; c < out.scan.chains.size(); ++c) {

@@ -41,8 +41,6 @@ struct LbistConfig {
   int misr_min_length = 19;
   bool use_space_compactor = false;  // paper section 3 technique (3)
   bool wrap_ios = true;              // paper section 3 technique (2)
-  /// Phase-shifter channel separation; must exceed the longest chain.
-  uint64_t ps_separation = 0;  // 0 = auto (2 * max chain length)
 
   bist::AtSpeedTimingConfig timing;
   uint64_t prpg_seed = 0x0001'D00D'F00DULL;
@@ -78,8 +76,6 @@ struct BistReadyCore {
   [[nodiscard]] int shiftCyclesPerPattern() const {
     return static_cast<int>(scan.max_chain_length);
   }
-
-  [[nodiscard]] const DomainBist* bistFor(DomainId d) const;
 };
 
 /// Runs the full flow on a copy of `core`. Throws std::invalid_argument

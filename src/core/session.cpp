@@ -175,7 +175,7 @@ SessionResult BistSession::run(const SessionOptions& opts,
   const bist::AtSpeedTimingConfig& timing =
       opts.timing_override ? *opts.timing_override : core_->config.timing;
   bist::BistSchedule sched(die_->domains(), timing, shift_cycles,
-                           opts.patterns, opts.capture_order);
+                           opts.patterns);
 
   auto snapshot = [&]() {
     SignatureCheckpoint cp;
@@ -215,11 +215,9 @@ SessionResult BistSession::run(const SessionOptions& opts,
   }
 
   // Final unload: shift the last captured responses into the MISRs.
-  if (opts.final_unload) {
-    sim_.setInput(core_->scan.se_port, ~uint64_t{0});
-    for (int s = 0; s < shift_cycles; ++s) shiftCycle();
-    shifts += static_cast<uint64_t>(shift_cycles);
-  }
+  sim_.setInput(core_->scan.se_port, ~uint64_t{0});
+  for (int s = 0; s < shift_cycles; ++s) shiftCycle();
+  shifts += static_cast<uint64_t>(shift_cycles);
   OBS_COUNT("session.pulses", shifts + captures);
   OBS_COUNT("session.ops", shifts * shift_ops_.size() +
                                captures * sim_.compiled().numOps());

@@ -31,14 +31,10 @@
 
 namespace lbist::core {
 
+/// Domains capture in netlist domain order, and one extra shift window
+/// after the last pattern flushes the final responses into the MISRs.
 struct SessionOptions {
   int64_t patterns = 32;
-  /// Domains capture in this order (empty = netlist order). d3 separates
-  /// consecutive pairs, so any order works regardless of skew.
-  std::vector<DomainId> capture_order;
-  /// Extra shift window after the last pattern to flush final responses
-  /// into the MISRs (always needed; exposed for the truncation test).
-  bool final_unload = true;
   /// Interval-signature windows: snapshot every domain's MISR after each
   /// `signature_interval` completed patterns (0 = none). Diagnosis
   /// (src/diag) narrows a failing run to failing windows from these; the

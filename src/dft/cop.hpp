@@ -19,12 +19,6 @@ namespace lbist::dft {
 struct CopMetrics {
   std::vector<double> c1;   // P(net == 1), indexed by gate id
   std::vector<double> obs;  // P(change at net seen at an observation)
-
-  [[nodiscard]] double detectability(GateId g, bool stuck_at_1) const {
-    // P(detect g s-a-v) = P(net == !v) * P(observe).
-    const double activation = stuck_at_1 ? 1.0 - c1[g.v] : c1[g.v];
-    return activation * obs[g.v];
-  }
 };
 
 /// `observed` is the set of nets the tester sees (PO drivers, scan-cell D

@@ -14,14 +14,6 @@ const ScanChain* ScanResult::chainOf(GateId cell) const {
   return nullptr;
 }
 
-size_t ScanResult::chainsInDomain(DomainId d) const {
-  size_t n = 0;
-  for (const ScanChain& c : chains) {
-    if (c.domain == d) ++n;
-  }
-  return n;
-}
-
 GateId ensureTestModePort(Netlist& nl, const std::string& name) {
   if (auto existing = nl.findGateByName(name)) return *existing;
   return nl.addInput(name);

@@ -45,7 +45,6 @@ struct ScanResult {
   size_t max_chain_length = 0;
 
   [[nodiscard]] const ScanChain* chainOf(GateId cell) const;
-  [[nodiscard]] size_t chainsInDomain(DomainId d) const;
 };
 
 /// Performs scan insertion in place. The netlist must already be

@@ -6,16 +6,19 @@
 #include <stdexcept>
 #include <unordered_map>
 
-#include <chrono>
-#include <cstdio>
-#include <cstdlib>
-
 #include "dft/cop.hpp"
 #include "fault/fsim.hpp"
+#include "obs/obs.hpp"
 
 namespace lbist::dft {
 
 namespace {
+
+// Fault-simulation-guided selection settings.
+constexpr uint64_t kSeed = 0xC0FFEEULL;     // warm-up and guidance streams
+constexpr size_t kCandidatePool = 4096;     // nets kept by reach count
+constexpr size_t kGuidanceFaultCap = 6000;  // undetected faults traced
+constexpr size_t kMinGain = 2;              // stop below this many faults
 
 /// Observation set used for TPI selection on a pre-scan netlist: PO
 /// drivers plus every scannable DFF's D driver (after scan insertion all
@@ -124,23 +127,6 @@ DomainId nearestDomain(const Netlist& nl, GateId net,
   return DomainId{0};
 }
 
-namespace {
-struct PhaseTimer {
-  const char* label;
-  std::chrono::steady_clock::time_point t0 =
-      std::chrono::steady_clock::now();
-  explicit PhaseTimer(const char* l) : label(l) {}
-  ~PhaseTimer() {
-    if (std::getenv("LBIST_TPI_VERBOSE") != nullptr) {
-      std::fprintf(stderr, "[tpi] %-18s %.1fs\n", label,
-                   std::chrono::duration<double>(
-                       std::chrono::steady_clock::now() - t0)
-                       .count());
-    }
-  }
-};
-}  // namespace
-
 TpiResult selectObservePointsFaultSim(const Netlist& nl,
                                       const TpiConfig& cfg) {
   TpiResult result;
@@ -151,118 +137,99 @@ TpiResult selectObservePointsFaultSim(const Netlist& nl,
 
   fault::FaultSimulator fsim(nl, faults, obs);
   fsim.markUnobservable();
-  std::mt19937_64 rng(cfg.seed);
 
   // --- warm-up: drop everything random patterns can catch -----------------
-  PhaseTimer* warmup_t = new PhaseTimer("warmup");
-  for (int64_t base = 0; base < cfg.warmup_patterns; base += 64) {
-    const int lanes =
-        static_cast<int>(std::min<int64_t>(64, cfg.warmup_patterns - base));
-    loadRandomSources(nl, fsim, rng);
-    fsim.simulateBlockStuckAt(base, lanes);
+  {
+    OBS_SPAN("dft.tpi_warmup");
+    std::mt19937_64 rng(kSeed);
+    for (int64_t base = 0; base < cfg.warmup_patterns; base += 64) {
+      const int lanes =
+          static_cast<int>(std::min<int64_t>(64, cfg.warmup_patterns - base));
+      loadRandomSources(nl, fsim, rng);
+      fsim.simulateBlockStuckAt(base, lanes);
+    }
   }
-  delete warmup_t;
   result.warmup_coverage = faults.coverage();
 
-  std::vector<uint64_t> covered;  // dense bitset over current undetected set
-  for (int round = 0; round < cfg.rounds; ++round) {
-    if (result.points.size() >= cfg.max_points) break;
-    std::vector<size_t> undetected = faults.undetectedIndices();
-    if (undetected.empty()) break;
-    // Guidance over a bounded sample: reach statistics converge long
-    // before the full residue is traced, and tracing every undetected
-    // fault at large scale dominates flow runtime.
-    if (undetected.size() > cfg.guidance_fault_cap) {
-      std::mt19937_64 sampler(cfg.seed + 997);
-      std::shuffle(undetected.begin(), undetected.end(), sampler);
-      undetected.resize(cfg.guidance_fault_cap);
-      std::sort(undetected.begin(), undetected.end());
-    }
+  std::vector<size_t> undetected = faults.undetectedIndices();
+  if (undetected.empty() || cfg.max_points == 0) return result;
+  OBS_SPAN("dft.tpi_guidance");
+  // Guidance over a bounded sample: reach statistics converge long
+  // before the full residue is traced, and tracing every undetected
+  // fault at large scale dominates flow runtime.
+  if (undetected.size() > kGuidanceFaultCap) {
+    std::mt19937_64 sampler(kSeed + 997);
+    std::shuffle(undetected.begin(), undetected.end(), sampler);
+    undetected.resize(kGuidanceFaultCap);
+    std::sort(undetected.begin(), undetected.end());
+  }
 
-    // --- pass A: reach counts ------------------------------------------------
-    PhaseTimer pass_a("guidance passes");
-    fault::FaultSimulator guide(nl, faults, obs,
-                                fault::FsimOptions{1, /*drop=*/false});
-    guide.restrictActiveSet(undetected);
-    CountRecorder counter(nl.numGates());
-    guide.setReachObserver(&counter);
-    std::mt19937_64 rng_a(cfg.seed + 17 + static_cast<uint64_t>(round));
-    std::mt19937_64 rng_b = rng_a;
-    for (int64_t base = 0; base < cfg.guidance_patterns; base += 64) {
-      const int lanes = static_cast<int>(
-          std::min<int64_t>(64, cfg.guidance_patterns - base));
-      loadRandomSources(nl, guide, rng_a);
-      guide.simulateBlockStuckAt(base, lanes);
-    }
+  // --- pass A: reach counts --------------------------------------------------
+  fault::FaultSimulator guide(nl, faults, obs,
+                              fault::FsimOptions{1, /*drop=*/false});
+  guide.restrictActiveSet(undetected);
+  CountRecorder counter(nl.numGates());
+  guide.setReachObserver(&counter);
+  std::mt19937_64 rng_a(kSeed + 17);
+  std::mt19937_64 rng_b = rng_a;
+  for (int64_t base = 0; base < cfg.guidance_patterns; base += 64) {
+    const int lanes = static_cast<int>(
+        std::min<int64_t>(64, cfg.guidance_patterns - base));
+    loadRandomSources(nl, guide, rng_a);
+    guide.simulateBlockStuckAt(base, lanes);
+  }
 
-    // --- candidate pool ------------------------------------------------------
-    std::vector<GateId> candidates;
-    nl.forEachGate([&](GateId id, const Gate&) {
-      if (counter.counts()[id.v] > 0 &&
-          eligibleCandidate(nl, id, observed_flag)) {
-        candidates.push_back(id);
+  // --- candidate pool --------------------------------------------------------
+  std::vector<GateId> candidates;
+  nl.forEachGate([&](GateId id, const Gate&) {
+    if (counter.counts()[id.v] > 0 &&
+        eligibleCandidate(nl, id, observed_flag)) {
+      candidates.push_back(id);
+    }
+  });
+  std::sort(candidates.begin(), candidates.end(), [&](GateId a, GateId b) {
+    return counter.counts()[a.v] > counter.counts()[b.v];
+  });
+  if (candidates.size() > kCandidatePool) candidates.resize(kCandidatePool);
+  if (candidates.empty()) return result;
+
+  // --- pass B: per-candidate cover bitsets -----------------------------------
+  fault::FaultSimulator cover_sim(nl, faults, obs,
+                                  fault::FsimOptions{1, /*drop=*/false});
+  cover_sim.restrictActiveSet(undetected);
+  CoverRecorder recorder(nl.numGates(), undetected, candidates);
+  cover_sim.setReachObserver(&recorder);
+  for (int64_t base = 0; base < cfg.guidance_patterns; base += 64) {
+    const int lanes = static_cast<int>(
+        std::min<int64_t>(64, cfg.guidance_patterns - base));
+    loadRandomSources(nl, cover_sim, rng_b);
+    cover_sim.simulateBlockStuckAt(base, lanes);
+  }
+
+  // --- greedy set cover ------------------------------------------------------
+  std::vector<uint64_t> covered(recorder.words(), 0);
+  std::vector<uint8_t> taken(candidates.size(), 0);
+  while (result.points.size() < cfg.max_points) {
+    size_t best = candidates.size();
+    size_t best_gain = 0;
+    for (size_t c = 0; c < candidates.size(); ++c) {
+      if (taken[c] != 0) continue;
+      const auto bits = recorder.bitsFor(c);
+      size_t gain = 0;
+      for (size_t w = 0; w < bits.size(); ++w) {
+        gain += static_cast<size_t>(std::popcount(bits[w] & ~covered[w]));
       }
-    });
-    std::sort(candidates.begin(), candidates.end(), [&](GateId a, GateId b) {
-      return counter.counts()[a.v] > counter.counts()[b.v];
-    });
-    if (candidates.size() > cfg.candidate_pool) {
-      candidates.resize(cfg.candidate_pool);
-    }
-    if (candidates.empty()) break;
-
-    // --- pass B: per-candidate cover bitsets ---------------------------------
-    fault::FaultSimulator cover_sim(nl, faults, obs,
-                                    fault::FsimOptions{1, /*drop=*/false});
-    cover_sim.restrictActiveSet(undetected);
-    CoverRecorder recorder(nl.numGates(), undetected, candidates);
-    cover_sim.setReachObserver(&recorder);
-    for (int64_t base = 0; base < cfg.guidance_patterns; base += 64) {
-      const int lanes = static_cast<int>(
-          std::min<int64_t>(64, cfg.guidance_patterns - base));
-      loadRandomSources(nl, cover_sim, rng_b);
-      cover_sim.simulateBlockStuckAt(base, lanes);
-    }
-
-    // --- greedy set cover ----------------------------------------------------
-    covered.assign(recorder.words(), 0);
-    std::vector<uint8_t> taken(candidates.size(), 0);
-    while (result.points.size() < cfg.max_points) {
-      size_t best = candidates.size();
-      size_t best_gain = 0;
-      for (size_t c = 0; c < candidates.size(); ++c) {
-        if (taken[c] != 0) continue;
-        const auto bits = recorder.bitsFor(c);
-        size_t gain = 0;
-        for (size_t w = 0; w < bits.size(); ++w) {
-          gain += static_cast<size_t>(
-              std::popcount(bits[w] & ~covered[w]));
-        }
-        if (gain > best_gain) {
-          best_gain = gain;
-          best = c;
-        }
-      }
-      if (best == candidates.size() || best_gain < cfg.min_gain) break;
-      taken[best] = 1;
-      const auto bits = recorder.bitsFor(best);
-      for (size_t w = 0; w < bits.size(); ++w) covered[w] |= bits[w];
-      result.points.push_back(candidates[best]);
-      observed_flag[candidates[best].v] = 1;
-      result.predicted_new_detections += best_gain;
-    }
-
-    // Between rounds: treat covered faults as detected so the next round
-    // re-targets what is still dark.
-    if (round + 1 < cfg.rounds) {
-      size_t dense = 0;
-      for (size_t fi : undetected) {
-        if ((covered[dense / 64] >> (dense % 64)) & 1u) {
-          faults.setStatus(fi, fault::FaultStatus::kDetected);
-        }
-        ++dense;
+      if (gain > best_gain) {
+        best_gain = gain;
+        best = c;
       }
     }
+    if (best == candidates.size() || best_gain < kMinGain) break;
+    taken[best] = 1;
+    const auto bits = recorder.bitsFor(best);
+    for (size_t w = 0; w < bits.size(); ++w) covered[w] |= bits[w];
+    result.points.push_back(candidates[best]);
+    result.predicted_new_detections += best_gain;
   }
   return result;
 }

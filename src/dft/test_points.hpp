@@ -35,16 +35,6 @@ struct TpiConfig {
   int64_t warmup_patterns = 2048;
   /// Patterns over which undetected-fault effects are traced.
   int64_t guidance_patterns = 512;
-  /// Greedy set-cover refinement rounds (re-simulating between rounds).
-  int rounds = 1;
-  /// Candidate nets kept per round (top reach counts).
-  size_t candidate_pool = 4096;
-  /// Undetected faults traced during guidance (sampled when the residue
-  /// is larger; reach statistics converge well before full coverage).
-  size_t guidance_fault_cap = 6000;
-  /// Stop when the best remaining candidate covers fewer faults.
-  size_t min_gain = 2;
-  uint64_t seed = 0xC0FFEEULL;
 };
 
 struct TpiResult {

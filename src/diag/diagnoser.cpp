@@ -14,6 +14,9 @@ namespace lbist::diag {
 
 namespace {
 
+// Top-ranked candidates confirmed by injected session replay.
+constexpr size_t kConfirmTop = 10;
+
 std::vector<uint64_t> xorWords(const std::vector<uint64_t>& a,
                                const std::vector<uint64_t>& b) {
   std::vector<uint64_t> out(a.size());
@@ -95,7 +98,6 @@ core::SessionOptions Diagnoser::sessionOptions() const {
   core::SessionOptions o;
   o.patterns = opts_.patterns;
   o.signature_interval = opts_.signature_interval;
-  o.final_unload = true;
   if (!opts_.transition) {
     // The dictionary models one (staged) capture per pattern; run the
     // die the same way so per-pattern rows line up cycle-for-cycle.
@@ -333,7 +335,7 @@ void Diagnoser::matchSyndrome(const Syndrome& syndrome, Diagnosis& out) {
 void Diagnoser::confirmCandidates(const core::SessionResult& observed,
                                   Diagnosis& out) {
   if (opts_.transition) return;  // transition faults cannot be hardwired
-  const size_t n = std::min(opts_.confirm_top, out.candidates.size());
+  const size_t n = std::min(kConfirmTop, out.candidates.size());
   const core::SessionOptions o = sessionOptions();
   for (size_t k = 0; k < n; ++k) {
     Candidate& c = out.candidates[k];
@@ -392,7 +394,7 @@ Diagnosis Diagnoser::diagnoseDie(const Netlist& bad_die) {
     // The exact replay already recovered every failing pattern; the
     // binary search would only re-measure its minimum.
     d.syndrome.first_failing_pattern = d.syndrome.failing_patterns.front();
-  } else if (opts_.locate_first_fail) {
+  } else {
     // The first failing pattern lies in the first dirty window; pin it
     // with O(log window) truncated re-runs.
     size_t first_dirty = 0;
@@ -455,6 +457,10 @@ Diagnosis Diagnoser::diagnoseSyndrome(const Syndrome& syndrome) {
 }
 
 Syndrome Diagnoser::syndromeForFault(size_t fault_index) {
+  if (fault_index >= faults_.size()) {
+    throw std::invalid_argument(
+        "syndromeForFault: fault index out of range");
+  }
   ensureDictionary();
   Syndrome s;
   s.patterns = opts_.patterns;

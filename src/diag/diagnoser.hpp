@@ -16,9 +16,10 @@
 //     matches first, then nearest-neighbour Jaccard scoring for
 //     unmodeled defects. Candidates that cannot structurally reach every
 //     failing clock domain's MISR are pruned (multi-domain sessions).
-//  3. CONFIRM — the top stuck-at candidates are injected into a die copy
-//     and re-run through the cycle-accurate session; a candidate that
-//     reproduces the observed checkpoint trace bit-for-bit is confirmed.
+//  3. CONFIRM — the top ten stuck-at candidates (transition faults
+//     cannot be hardwired) are injected into a die copy and re-run
+//     through the cycle-accurate session; a candidate that reproduces
+//     the observed checkpoint trace bit-for-bit is confirmed.
 //
 // Stuck-at diagnosis runs its sessions single-capture, and the dictionary
 // is built with the staged-capture fault simulator
@@ -60,11 +61,6 @@ struct DiagnosisOptions {
   bool transition = false;
   /// Ranked candidates to report.
   size_t max_candidates = 10;
-  /// How many top candidates to confirm by injected session replay
-  /// (stuck-at universes only; transition faults cannot be hardwired).
-  size_t confirm_top = 10;
-  /// Pin the first failing pattern by binary-search replay.
-  bool locate_first_fail = true;
   /// Re-run both sessions with per-pattern checkpoints to recover the
   /// exact failing-pattern set (2 extra runs). Matching then happens at
   /// pattern granularity instead of window granularity — essential when
@@ -149,7 +145,8 @@ class Diagnoser {
 
   /// Syndrome a given dictionary fault would produce — lets callers
   /// exercise diagnosis for universes that cannot be hardwired into a
-  /// die (transition faults).
+  /// die (transition faults). Throws std::invalid_argument when
+  /// `fault_index` is not an index into faults().
   [[nodiscard]] Syndrome syndromeForFault(size_t fault_index);
 
   /// The fault universe being diagnosed (indices match Candidates).

@@ -67,22 +67,16 @@ Levelized::Levelized(const Netlist& nl) {
     throw std::runtime_error("levelization failed: combinational cycle");
   }
 
-  // Bucket combinational gates by level.
-  comb_order_.reserve(comb_seen);
-  level_offsets_.assign(max_level_ + 2, 0);
+  // Bucket combinational gates by level: start[L] is level L's first slot.
+  std::vector<uint32_t> start(max_level_ + 2, 0);
   for (GateId id : order_) {
-    if (isCombinational(nl.gate(id).kind)) {
-      ++level_offsets_[level_[id.v] + 1];
-    }
+    if (isCombinational(nl.gate(id).kind)) ++start[level_[id.v] + 1];
   }
-  for (size_t i = 1; i < level_offsets_.size(); ++i) {
-    level_offsets_[i] += level_offsets_[i - 1];
-  }
-  std::vector<uint32_t> fill(level_offsets_.begin(), level_offsets_.end() - 1);
+  for (size_t i = 1; i < start.size(); ++i) start[i] += start[i - 1];
   comb_order_.resize(comb_seen);
   for (GateId id : order_) {
     if (isCombinational(nl.gate(id).kind)) {
-      comb_order_[fill[level_[id.v]]++] = id;
+      comb_order_[start[level_[id.v]]++] = id;
     }
   }
 }

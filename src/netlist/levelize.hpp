@@ -31,18 +31,10 @@ class Levelized {
   [[nodiscard]] uint32_t level(GateId id) const { return level_[id.v]; }
   [[nodiscard]] uint32_t maxLevel() const { return max_level_; }
 
-  /// Gates at a given level (valid for levels 1..maxLevel; combinational
-  /// gates only).
-  [[nodiscard]] std::span<const GateId> atLevel(uint32_t lvl) const {
-    return {comb_order_.data() + level_offsets_[lvl],
-            comb_order_.data() + level_offsets_[lvl + 1]};
-  }
-
  private:
   std::vector<GateId> order_;
   std::vector<GateId> comb_order_;
   std::vector<uint32_t> level_;
-  std::vector<uint32_t> level_offsets_;
   uint32_t max_level_ = 0;
 };
 

@@ -119,9 +119,6 @@ class Netlist {
   void setOutputDriver(size_t index, GateId new_driver);
 
   void setFlag(GateId id, GateFlag flag) { gates_[id.v].flags |= flag; }
-  void clearFlag(GateId id, GateFlag flag) {
-    gates_[id.v].flags &= static_cast<uint8_t>(~flag);
-  }
   [[nodiscard]] bool hasFlag(GateId id, GateFlag flag) const {
     return (gates_[id.v].flags & flag) != 0;
   }

@@ -30,7 +30,6 @@ struct Registry {
   std::vector<PointInfo> points;           // index == point id
   std::vector<RuleState> rules;            // armed plan, empty when none
   std::vector<uint64_t> fires_per_point;   // same index as points
-  uint64_t seed = 0;
   uint64_t total_fires = 0;
 };
 
@@ -137,7 +136,6 @@ void setFaultPlan(FaultPlan plan) {
   for (FaultRule& rule : plan.rules) {
     r.rules.push_back(RuleState{std::move(rule), 0, 0});
   }
-  r.seed = plan.seed;
   r.total_fires = 0;
   std::fill(r.fires_per_point.begin(), r.fires_per_point.end(), 0u);
   detail::g_plan_active.store(true, std::memory_order_relaxed);
@@ -148,7 +146,6 @@ void clearFaultPlan() {
   std::lock_guard<std::mutex> lock(r.mu);
   detail::g_plan_active.store(false, std::memory_order_relaxed);
   r.rules.clear();
-  r.seed = 0;
   r.total_fires = 0;
   std::fill(r.fires_per_point.begin(), r.fires_per_point.end(), 0u);
 }
@@ -231,12 +228,6 @@ uint64_t planFiresAt(std::string_view point) {
     if (r.points[i].name == point) return r.fires_per_point[i];
   }
   return 0;
-}
-
-uint64_t planSeed() {
-  Registry& r = registry();
-  std::lock_guard<std::mutex> lock(r.mu);
-  return r.seed;
 }
 
 }  // namespace lbist::robust

@@ -1,5 +1,5 @@
 // Failure-handling layer: a stable error taxonomy, deterministic retry
-// budgets, and a seeded fault-injection harness
+// budgets, and a deterministic fault-injection harness
 // (ARCHITECTURE.md contract 6, "failures are deterministic and
 // recoverable").
 //
@@ -19,10 +19,10 @@
 //
 //  * ROBUST_POINT — named fault-injection sites compiled into the
 //    production code paths (checkpoint writes, campaign jobs, fsim
-//    blocks, ATPG targets) and driven by a seeded robust::FaultPlan.
-//    A plan fires actions (I/O error, torn write, bit flip, job
-//    exception, simulated hang) on deterministic nth-hit / every-kth
-//    triggers, optionally keyed (e.g. by core name) so multi-threaded
+//    blocks, ATPG targets) and driven by a robust::FaultPlan. A plan
+//    fires actions (I/O error, torn write, bit flip, job exception,
+//    simulated hang) on counted nth-hit / every-kth triggers, never
+//    sampled ones, optionally keyed (e.g. by core name) so multi-threaded
 //    runs stay deterministic. With no plan installed a site costs one
 //    relaxed atomic load; -DLBIST_ROBUST_OFF compiles every site out
 //    entirely (the obs-macro cost model).
@@ -203,13 +203,12 @@ struct FaultRule {
   uint64_t max_fires = 1;
 };
 
-/// A seeded set of FaultRules. Installing a plan resets all hit/fire
-/// counters, so the same plan against the same workload always fires
-/// at the same sites — injection runs are reproducible by construction.
+/// A set of FaultRules. Installing a plan resets all hit/fire counters,
+/// so the same plan against the same workload always fires at the same
+/// sites — injection runs are reproducible by construction. Triggers
+/// are counted, not sampled, and payloads are fixed (a bit flip always
+/// hits the last content byte), so a plan has no seed.
 struct FaultPlan {
-  /// Drives payload choices (bit-flip positions); triggers are counted,
-  /// not sampled, so the seed never affects *when* a rule fires.
-  uint64_t seed = 0;
   /// The armed triggers.
   std::vector<FaultRule> rules;
 };
@@ -262,10 +261,6 @@ void clearFaultPlan();
 
 /// Rule fires at one named point since the last setFaultPlan.
 [[nodiscard]] uint64_t planFiresAt(std::string_view point);
-
-/// Seed of the installed plan (0 when none) — sites use it to pick
-/// deterministic payload positions for kBitFlip.
-[[nodiscard]] uint64_t planSeed();
 
 }  // namespace lbist::robust
 

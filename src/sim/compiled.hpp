@@ -61,9 +61,6 @@ inline constexpr uint8_t kXor3[9] = {0, 1, 2, 1, 0, 2, 2, 2, 2};
 inline constexpr uint8_t kNot3[3] = {1, 0, 2};
 }  // namespace detail3v
 
-/// 01X inversion: 0 <-> 1, X stays X.
-[[nodiscard]] inline uint8_t not3(uint8_t v) { return detail3v::kNot3[v]; }
-
 /// Opcodes of the compiled stream. kAnd2..kXnor2 are the fixed-arity
 /// specializations of the variadic gate kinds.
 enum class OpCode : uint8_t {
@@ -213,13 +210,6 @@ class CompiledNetlist {
     }
     assert(false && "unknown opcode");
     return WordT{};
-  }
-
-  /// 64-lane passMask over a stride-1 value array (the classic shape).
-  [[nodiscard]] uint64_t passMask(uint32_t op, size_t slot,
-                                  const uint64_t* values) const {
-    return passMaskT<uint64_t>(op, slot,
-                               [&](uint32_t g) { return values[g]; });
   }
 
   /// Stride-W passMask over a gate-major value array (W words per gate).

@@ -97,8 +97,6 @@ class Simulator2v {
 
   /// The bound netlist.
   [[nodiscard]] const Netlist& netlist() const { return *nl_; }
-  /// The levelization the compiled tables were built from.
-  [[nodiscard]] const Levelized& levelized() const { return lev_; }
 
   /// Compiled tables, shared with engines layered on top (the fault
   /// simulator's overlay evaluation reads the same arrays).

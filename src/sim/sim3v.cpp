@@ -28,11 +28,4 @@ void Simulator3v::eval() {
   }
 }
 
-bool Simulator3v::anyX(std::span<const GateId> nets) const {
-  for (GateId n : nets) {
-    if (values_[n.v].x != 0) return true;
-  }
-  return false;
-}
-
 }  // namespace lbist::sim

@@ -37,13 +37,8 @@ class Simulator3v {
     return values_[nl_->gate(dff).fanins[0].v];
   }
 
-  /// True if any lane of any listed observation net is X.
-  [[nodiscard]] bool anyX(std::span<const GateId> nets) const;
-
   /// The bound netlist.
   [[nodiscard]] const Netlist& netlist() const { return *nl_; }
-  /// The levelization eval() sweeps in.
-  [[nodiscard]] const Levelized& levelized() const { return lev_; }
 
  private:
   const Netlist* nl_;

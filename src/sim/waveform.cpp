@@ -70,12 +70,6 @@ WireValue Waveform::valueAt(SignalId sig, uint64_t time_ps) const {
   return std::prev(it)->value;
 }
 
-std::vector<uint64_t> Waveform::changeTimes(SignalId sig) const {
-  std::vector<uint64_t> times;
-  for (const Event& e : sorted(sig)) times.push_back(e.time_ps);
-  return times;
-}
-
 std::vector<uint64_t> Waveform::risingEdges(SignalId sig) const {
   std::vector<uint64_t> rises;
   const auto& ev = sorted(sig);

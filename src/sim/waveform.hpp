@@ -30,15 +30,9 @@ class Waveform {
   void pulse(SignalId sig, uint64_t t_ps, uint64_t width_ps);
 
   [[nodiscard]] size_t numSignals() const { return names_.size(); }
-  [[nodiscard]] const std::string& signalName(SignalId sig) const {
-    return names_[sig];
-  }
 
   /// Value of `sig` at time t (last change at or before t).
   [[nodiscard]] WireValue valueAt(SignalId sig, uint64_t time_ps) const;
-
-  /// All change times of `sig`, ascending.
-  [[nodiscard]] std::vector<uint64_t> changeTimes(SignalId sig) const;
 
   /// Rising-edge times of `sig` (Low->High transitions), ascending.
   [[nodiscard]] std::vector<uint64_t> risingEdges(SignalId sig) const;

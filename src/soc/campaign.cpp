@@ -28,16 +28,16 @@ namespace {
 // cannot be resumed by a v2 runner, only healed by re-running.
 constexpr const char* kCheckpointMagic = "lbist-campaign v2";
 
+// Simulated watchdog budget per core-session attempt; a hung session is
+// charged all of it and recorded BudgetExceeded without retry.
+constexpr uint64_t kWatchdogBudgetTicks = 1024;
+
 std::string checkpointHeader(const Chip& chip, int64_t patterns,
-                             bool coverage, bool topup) {
+                             bool coverage) {
   std::ostringstream os;
   os << kCheckpointMagic << " chip=" << chip.name()
      << " patterns=" << patterns << " cores=" << chip.numCores()
      << " coverage=" << (coverage ? 1 : 0);
-  // Emitted only for top-up campaigns so pre-existing checkpoints keep
-  // their exact header bytes; the mismatch is what stops a resume from
-  // mixing topup and non-topup coverage numbers.
-  if (topup) os << " topup=1";
   return os.str();
 }
 
@@ -51,9 +51,6 @@ std::string checkpointLine(const CoreRunResult& r) {
     os.precision(std::numeric_limits<double>::max_digits10);
     os << r.coverage_percent;
   }
-  // Optional token: absent for non-topup campaigns, keeping their
-  // record bytes identical to the previous format.
-  if (r.redundant >= 0) os << " redundant=" << r.redundant;
   os << " sigs=";
   for (size_t i = 0; i < r.signatures.size(); ++i) {
     if (i > 0) os << ";";
@@ -131,8 +128,6 @@ bool parseRecord(const std::string& content, CoreRunResult* r) {
       } else if (tokenValue(token, "coverage", &value)) {
         r->coverage_percent = value == "-" ? -1.0 : std::stod(value);
         has_coverage = true;
-      } else if (tokenValue(token, "redundant", &value)) {
-        r->redundant = std::stoll(value);  // optional (topup campaigns)
       } else if (tokenValue(token, "sigs", &value)) {
         r->signatures.clear();
         std::istringstream ss(value);
@@ -166,8 +161,7 @@ struct LoadedCheckpoint {
 robust::Result<LoadedCheckpoint> tryLoadCheckpoint(const std::string& path,
                                                    const Chip& chip,
                                                    int64_t patterns,
-                                                   bool coverage,
-                                                   bool topup) {
+                                                   bool coverage) {
   LoadedCheckpoint loaded;
   if (ROBUST_POINT("campaign.checkpoint.read", "", robust::kCanIoError) ==
       robust::FaultAction::kIoError) {
@@ -215,7 +209,7 @@ robust::Result<LoadedCheckpoint> tryLoadCheckpoint(const std::string& path,
     OBS_COUNT("soc.ckpt_records_dropped", loaded.dropped_records);
     return loaded;
   }
-  if (header != checkpointHeader(chip, patterns, coverage, topup)) {
+  if (header != checkpointHeader(chip, patterns, coverage)) {
     return robust::Status::error(
         robust::ErrorCode::kCorruptCheckpoint,
         "checkpoint '" + path +
@@ -258,8 +252,7 @@ robust::Result<CampaignResult> CampaignRunner::tryRun(
   std::vector<CoreRunResult> loaded;
   if (!opts.checkpoint_path.empty() && opts.resume) {
     robust::Result<LoadedCheckpoint> lc = tryLoadCheckpoint(
-        opts.checkpoint_path, *chip_, patterns, opts.measure_coverage,
-        opts.topup_coverage);
+        opts.checkpoint_path, *chip_, patterns, opts.measure_coverage);
     if (!lc.ok()) return lc.status();
     loaded = std::move(lc.value().done);
     result.dropped_records = lc.value().dropped_records;
@@ -278,8 +271,7 @@ robust::Result<CampaignResult> CampaignRunner::tryRun(
   std::vector<std::string> written;
   if (!opts.checkpoint_path.empty()) {
     std::ostringstream os;
-    os << withCrc(checkpointHeader(*chip_, patterns, opts.measure_coverage,
-                                   opts.topup_coverage))
+    os << withCrc(checkpointHeader(*chip_, patterns, opts.measure_coverage))
        << "\n";
     for (const CoreRunResult& r : loaded) {
       os << withCrc(checkpointLine(r)) << "\n";
@@ -400,7 +392,7 @@ robust::Result<CampaignResult> CampaignRunner::tryRun(
           r.error = robust::ErrorCode::kBudgetExceeded;
           r.error_detail =
               "watchdog: core session exceeded " +
-              std::to_string(opts.watchdog_budget_ticks) +
+              std::to_string(kWatchdogBudgetTicks) +
               " simulated ticks";
           break;
         }
@@ -421,21 +413,8 @@ robust::Result<CampaignResult> CampaignRunner::tryRun(
           r.tcks = sessionTcks(ready, session_);
           if (opts.measure_coverage) {
             core::CoverageFlow flow(ready);
-            const double random_cov = flow.runRandomPhase(patterns)
-                                          .coverage.faultCoveragePercent();
-            if (opts.topup_coverage) {
-              // Full-flow number: random phase + deterministic top-up
-              // with SAT escalation, so the hard tail ends as cubes or
-              // redundancy proofs instead of stranded targets.
-              atpg::TopUpConfig tcfg;
-              tcfg.sat_escalate = true;
-              const atpg::TopUpResult tr = flow.runTopUp(tcfg);
-              r.coverage_percent =
-                  tr.final_coverage.faultCoveragePercent();
-              r.redundant = static_cast<int64_t>(tr.proven_redundant);
-            } else {
-              r.coverage_percent = random_cov;
-            }
+            r.coverage_percent = flow.runRandomPhase(patterns)
+                                     .coverage.faultCoveragePercent();
           }
           break;
         } catch (const std::exception& e) {
@@ -445,7 +424,6 @@ robust::Result<CampaignResult> CampaignRunner::tryRun(
           r.signatures.clear();
           r.tcks = 0;
           r.coverage_percent = -1.0;
-          r.redundant = -1;
         }
         if (attempt >= opts.retry.max_attempts) break;
         OBS_COUNT("soc.job_retries", 1);
@@ -592,8 +570,7 @@ robust::Result<CampaignResult> CampaignRunner::tryRun(
     if (written != canonical) {
       ckpt.close();
       std::ostringstream os;
-      os << withCrc(checkpointHeader(*chip_, patterns, opts.measure_coverage,
-                                     opts.topup_coverage))
+      os << withCrc(checkpointHeader(*chip_, patterns, opts.measure_coverage))
          << "\n";
       for (const CoreRunResult& r : result.cores) {
         if (r.error == robust::ErrorCode::kOk) {

@@ -21,8 +21,9 @@
 // (temp + fsync + rename), and recovery truncates to the longest valid
 // record prefix, quarantining the corrupt original as `<path>.corrupt`.
 // Core-session jobs run under a deterministic RetryPolicy and a
-// simulated watchdog budget: a job that throws or hangs is retried
-// within budget and otherwise recorded failed-with-reason
+// simulated watchdog: a job that throws is retried within budget, a
+// hung one (only injectable — real sessions are finite) is not, and a
+// job that still fails is recorded failed-with-reason
 // (CoreRunResult::error/error_detail) while the campaign completes the
 // remaining cores. Failed cores are never checkpointed, so a resume
 // re-runs exactly them and still converges to clean-run bytes.
@@ -48,13 +49,6 @@ struct CampaignOptions {
   /// PRPG patterns (core::CoverageFlow). Costs one fault-simulation
   /// campaign per core.
   bool measure_coverage = false;
-  /// With measure_coverage: follow the random phase with the
-  /// deterministic top-up flow, SAT escalation on, so the recorded
-  /// coverage is the full-flow number and every hard-tail fault ends as
-  /// a cube or a redundancy proof (CoreRunResult::redundant). Changes
-  /// the checkpoint header, so topup and non-topup campaigns cannot be
-  /// mixed by resume. No-op without measure_coverage.
-  bool topup_coverage = false;
   /// Checkpoint file path; empty disables checkpointing.
   std::string checkpoint_path;
   /// Resume from an existing checkpoint file instead of truncating it.
@@ -74,10 +68,6 @@ struct CampaignOptions {
   /// simulated ticks (obs counter soc.backoff_ticks), never slept, so
   /// retried campaigns stay bit-exact.
   robust::RetryPolicy retry;
-  /// Simulated watchdog budget per core-session attempt. A hung session
-  /// (only injectable — real sessions are finite) is charged the whole
-  /// budget and recorded BudgetExceeded without retry.
-  uint64_t watchdog_budget_ticks = 1024;
 };
 
 /// One core's campaign outcome.
@@ -88,9 +78,6 @@ struct CoreRunResult {
   std::vector<std::string> signatures;  // per domain, hex
   uint64_t tcks = 0;                    // session length (sessionTcks)
   double coverage_percent = -1.0;       // -1 when not measured
-  /// Faults the top-up pass proved redundant (SAT UNSAT); -1 when the
-  /// campaign ran without CampaignOptions::topup_coverage.
-  int64_t redundant = -1;
   bool from_checkpoint = false;
   /// kOk when the session executed (pass/fail is the BIST verdict);
   /// otherwise the infrastructure failure that kept it from executing

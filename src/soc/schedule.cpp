@@ -35,8 +35,8 @@ uint64_t sessionTcks(const core::BistReadyCore& core,
       opts.timing_override ? *opts.timing_override : core.config.timing;
   const uint64_t pulses_per_domain = timing.double_capture ? 2 : 1;
 
-  uint64_t tcks = patterns * shift_cycles;
-  if (opts.final_unload) tcks += shift_cycles;
+  // Every pattern's shift window plus the final unload window.
+  uint64_t tcks = (patterns + 1) * shift_cycles;
   tcks += patterns * pulses_per_domain *
           static_cast<uint64_t>(core.netlist.numDomains());
   return tcks;

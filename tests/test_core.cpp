@@ -198,7 +198,7 @@ SessionResult fullEvalRun(const BistReadyCore& core, const Netlist& die,
   const int shift_cycles = core.shiftCyclesPerPattern();
   bist::BistSchedule sched(
       die.domains(), opts.timing_override.value_or(core.config.timing),
-      shift_cycles, opts.patterns, opts.capture_order);
+      shift_cycles, opts.patterns);
   using Kind = bist::ScheduleEvent::Kind;
   while (auto ev = sched.next()) {
     ctrl.onEvent(*ev);
@@ -218,10 +218,8 @@ SessionResult fullEvalRun(const BistReadyCore& core, const Netlist& die,
     }
     if (ev->kind == Kind::kSessionEnd) res.session_ps = ev->time_ps;
   }
-  if (opts.final_unload) {
-    sim.setInput(core.scan.se_port, ~uint64_t{0});
-    for (int s = 0; s < shift_cycles; ++s) shift();
-  }
+  sim.setInput(core.scan.se_port, ~uint64_t{0});
+  for (int s = 0; s < shift_cycles; ++s) shift();
   res.patterns_done = ctrl.patternsDone();
   res.shift_pulses = ctrl.shiftPulses();
   res.capture_pulses = ctrl.capturePulses();

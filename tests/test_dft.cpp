@@ -266,6 +266,30 @@ TEST(Tpi, FaultSimGuidedPointsRaiseCoverage) {
       << "observation points must raise random-pattern coverage";
 }
 
+TEST(Tpi, SelectionMatchesTheRecordedPoints) {
+  // The point list and predicted detections of the default TpiConfig on
+  // an X-bounded seeded core. Any change to the warm-up or guidance
+  // pattern streams, the candidate pool or the greedy cover fails here.
+  // Recorded while the guidance seed, round count, pool size, fault cap
+  // and minimum gain were still TpiConfig options.
+  Netlist nl = smallCore();
+  boundAllX(nl);
+  const TpiResult tpi = selectObservePointsFaultSim(nl, TpiConfig{});
+  uint64_t h = 0xcbf29ce484222325ull;
+  const auto mix = [&](uint64_t word) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (word >> (8 * b)) & 0xffu;
+      h *= 0x100000001b3ull;
+    }
+  };
+  mix(tpi.points.size());
+  for (GateId g : tpi.points) mix(g.v);
+  mix(tpi.predicted_new_detections);
+  EXPECT_EQ(tpi.points.size(), 15u);
+  EXPECT_EQ(tpi.predicted_new_detections, 160u);
+  EXPECT_EQ(h, 0x3ce246ee0061cbc4ull) << std::hex << "0x" << h;
+}
+
 TEST(Tpi, CopBaselineSelectsLowObservabilityNets) {
   Netlist nl = smallCore(31, 1);
   const auto points = selectObservePointsCop(nl, 10);

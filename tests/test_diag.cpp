@@ -286,6 +286,10 @@ TEST(Diagnoser, RejectsInconsistentExternalSyndromes) {
   short_windows.dirty_windows = {1};  // needs patterns/interval + 1 entries
   EXPECT_THROW((void)diag.diagnoseSyndrome(short_windows),
                std::invalid_argument);
+
+  // A fault index past the universe must not read past the dictionary.
+  EXPECT_THROW((void)diag.syndromeForFault(diag.faults().size()),
+               std::invalid_argument);
 }
 
 TEST(Session, IntervalCheckpointsAreRecorded) {

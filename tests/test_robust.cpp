@@ -311,7 +311,6 @@ FaultPlan onePointPlan(const std::string& point, FaultAction action,
                        const std::string& key = "", uint64_t nth = 1,
                        uint64_t every = 0, uint64_t max_fires = 1) {
   FaultPlan plan;
-  plan.seed = 99;
   plan.rules.push_back(FaultRule{.point = point,
                                  .key = key,
                                  .action = action,
@@ -911,8 +910,7 @@ TEST(InjectSatSolve, HangAndThrowSurfaceStructuredlyAndRerunHeals) {
   fault::FaultList fl = fault::FaultList::enumerateStuckAt(nl);
   const fault::Fault target = fl.record(0).fault;
 
-  atpg::SatOptions opts;
-  atpg::SatEngine sat(nl, obs, assignable, opts);
+  atpg::SatEngine sat(nl, obs, assignable);
   atpg::TestCube cube;
 
   // kHang: the solve is charged its whole conflict budget and reports
@@ -920,7 +918,7 @@ TEST(InjectSatSolve, HangAndThrowSurfaceStructuredlyAndRerunHeals) {
   setFaultPlan(onePointPlan("atpg.sat.solve", FaultAction::kHang));
   EXPECT_EQ(sat.generate(target, cube), atpg::AtpgStatus::kAborted);
   EXPECT_EQ(sat.backtracksUsed(),
-            static_cast<size_t>(opts.conflict_limit))
+            static_cast<size_t>(atpg::SatEngine::kConflictLimit))
       << "a hang is charged its whole budget";
   clearFaultPlan();
 

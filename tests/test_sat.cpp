@@ -314,7 +314,7 @@ TEST(SatTrap, XorTrapAbortsPodemButSatRefutesAndEnumerationAgrees) {
   // CDCL proves redundancy well inside its budget.
   SatEngine sat(nl, obs, assignable);
   EXPECT_EQ(sat.generate(sa0, cube), AtpgStatus::kUntestable);
-  EXPECT_LT(sat.engineStats().conflicts, SatOptions{}.conflict_limit / 10);
+  EXPECT_LT(sat.engineStats().conflicts, SatEngine::kConflictLimit / 10);
 
   // Exhaustive enumeration (2^14 vectors) confirms the proof.
   EXPECT_FALSE(exhaustiveDetects(nl, sa0, obs, assignable));
@@ -647,6 +647,59 @@ TEST(MiterEncoder, FormulasMatchTheRecordedEncoding) {
     const uint64_t h = miterHash(c.nl, c.s.observed, c.s.assignable, c.fixed);
     EXPECT_EQ(h, 0x18139d359399bcf2ull) << "seeded core";
   }
+}
+
+TEST(TopUpEscalation, ResultsMatchTheRecordedRun) {
+  // runTopUp with the default TopUpConfig plus SAT escalation (the
+  // repository benchmark's setting) on the seeded core after a short
+  // random phase. The hash covers the pattern set, every fault's final
+  // status and drop pattern, and the result counters, so a change to
+  // target order, dominance deferral, static compaction, escalation or
+  // reverse compaction fails here. Recorded while static compaction and
+  // dominance deferral were still TopUpConfig options.
+  const SeededCore c = seededCore();
+  fault::FaultList fl = fault::FaultList::enumerateStuckAt(c.nl);
+  fault::FaultSimulator fsim(c.nl, fl, c.s.observed);
+  fsim.markUnobservable();
+  std::mt19937_64 rng(5);
+  for (int64_t b = 0; b < 128; b += 64) {
+    for (GateId src : c.s.assignable) fsim.setSource(src, rng());
+    fsim.simulateBlockStuckAt(b, 64);
+  }
+  TopUpConfig cfg;
+  cfg.sat_escalate = true;
+  const TopUpResult r = runTopUp(c.nl, fl, fsim, c.s.observed,
+                                 c.s.assignable, c.fixed, cfg);
+  EXPECT_GT(r.sat_escalated, 0u);
+
+  uint64_t h = 0xcbf29ce484222325ull;
+  const auto mix = [&](uint64_t word) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (word >> (8 * b)) & 0xffu;
+      h *= 0x100000001b3ull;
+    }
+  };
+  mix(r.patterns.size());
+  for (const TopUpPattern& p : r.patterns) {
+    for (GateId g : p.sources) mix(g.v);
+    for (uint8_t v : p.values) mix(v);
+  }
+  for (size_t i = 0; i < fl.size(); ++i) {
+    mix(static_cast<uint64_t>(fl.record(i).status));
+    mix(static_cast<uint64_t>(fl.record(i).first_detect_pattern));
+  }
+  for (size_t n : {r.targeted, r.atpg_detected, r.fortuitous_detected,
+                   r.proven_untestable, r.proven_redundant, r.aborted,
+                   r.backtracks, r.sat_escalated, r.sat_detected,
+                   r.sat_conflicts, r.sat_learned,
+                   r.patterns_before_compact}) {
+    mix(n);
+  }
+  for (const TopUpResult::TargetAbort& a : r.aborted_targets) {
+    mix(a.fault_index);
+    mix(a.backtracks);
+  }
+  EXPECT_EQ(h, 0xa22b083b861c3bfbull) << std::hex << "0x" << h;
 }
 
 TEST(SatEngine, AnswersDoNotDependOnSolveHistory) {

@@ -410,6 +410,33 @@ TEST(Campaign, KillAndResumeIsBitIdenticalToUninterruptedRun) {
   std::remove(resumed_path.c_str());
 }
 
+TEST(Campaign, CheckpointMatchesTheRecordedBytes) {
+  // The checkpoint of a coverage campaign over the shared chip: one
+  // CRC-protected header and one record per core. Any change to the
+  // header or record tokens, a signature or a coverage figure fails
+  // here. Recorded while the campaign still had a top-up coverage mode
+  // with its own header and record tokens.
+  Chip& chip = testChip();
+  const TestSchedule sched =
+      buildChipSchedule(chip, 1e18, sessionOptions(), 64);
+  CampaignRunner runner(chip, sched, sessionOptions());
+  const std::string path = "soc_ckpt_recorded.txt";
+  CampaignOptions opts;
+  opts.measure_coverage = true;
+  opts.checkpoint_path = path;
+  const CampaignResult res = runner.run(opts);
+  const std::string bytes = slurp(path);
+  std::remove(path.c_str());
+  EXPECT_TRUE(res.complete);
+  uint64_t h = 0xcbf29ce484222325ull;
+  for (char ch : bytes) {
+    h ^= static_cast<uint8_t>(ch);
+    h *= 0x100000001b3ull;
+  }
+  EXPECT_EQ(bytes.size(), 910u);
+  EXPECT_EQ(h, 0xe6ed0d6c7898891bull) << std::hex << "0x" << h;
+}
+
 TEST(Campaign, ResumeHealsTornCheckpointLine) {
   Chip& chip = testChip();
   const TestSchedule sched =
