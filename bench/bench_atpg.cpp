@@ -235,7 +235,7 @@ int main(int argc, char** argv) {
     fault::FaultList snapshot = fault::FaultList::enumerateStuckAt(w.nl);
     {
       fault::FaultSimulator fsim(w.nl, snapshot, s.observed);
-      fsim.markUnobservable();
+      fsim.classifyUntestable();
       std::mt19937_64 rng(11);
       int64_t base = 0;
       for (int b = 0; b < w.random_blocks; ++b) {

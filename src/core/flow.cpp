@@ -44,7 +44,7 @@ CoverageFlow::CoverageFlow(const BistReadyCore& core, bool transition,
       assignable_(makeAssignable(core)),
       fsim_(core.netlist, faults_, observed_, fsim_opts),
       source_(core, fsim_opts.lane_words) {
-  fsim_.markUnobservable();
+  fsim_.classifyUntestable(source_.fixedPins());
 }
 
 RandomPhaseResult CoverageFlow::runRandomPhase(int64_t n_patterns) {

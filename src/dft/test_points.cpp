@@ -136,7 +136,7 @@ TpiResult selectObservePointsFaultSim(const Netlist& nl,
   for (GateId o : obs) observed_flag[o.v] = 1;
 
   fault::FaultSimulator fsim(nl, faults, obs);
-  fsim.markUnobservable();
+  fsim.classifyUntestable();
 
   // --- warm-up: drop everything random patterns can catch -----------------
   {

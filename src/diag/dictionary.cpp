@@ -124,7 +124,7 @@ ResponseDictionary buildResponseDictionary(const core::BistReadyCore& core,
   opts.lane_words = lane_words;
   fault::FaultSimulator fsim(core.netlist, faults,
                              misrObservationSet(core.netlist), opts);
-  fsim.markUnobservable();
+  fsim.classifyUntestable();
   fsim.setDetectionObserver(&recorder);
 
   // Stuck-at rows use the staged-capture engine so they match the

@@ -61,14 +61,18 @@ struct NetUses {
   std::vector<uint32_t> slot;   // fanin slot at that gate
 };
 
+/// Counts every gate output's uses in `nl` and records the consumer of
+/// each single-use net.
 [[nodiscard]] NetUses buildNetUses(const Netlist& nl);
 
+/// Fault-list collapsing summary (core::renderCollapseStats prints it).
 struct CollapseStats {
   size_t total = 0;    // faults in the (uncollapsed) list
   size_t classes = 0;  // equivalence classes = faults actually simulated
   size_t folded = 0;   // faults represented by another class member
   size_t dominance_prunable = 0;  // deferrable ATPG targets
 
+  /// Share of the list folded onto another class member, in percent.
   [[nodiscard]] double foldedPercent() const {
     return total == 0
                ? 0.0
@@ -77,6 +81,8 @@ struct CollapseStats {
   }
 };
 
+/// Per-fault equivalence classes and dominance deferral flags of one
+/// fault list, built by buildCollapseMap.
 class CollapseMap {
  public:
   /// Index of fault i's equivalence-class representative (the
@@ -85,6 +91,8 @@ class CollapseMap {
   /// a singleton class is its own representative.
   [[nodiscard]] size_t representative(size_t i) const { return rep_[i]; }
 
+  /// representative(i) for every fault; empty when the map was never
+  /// built (folding off).
   [[nodiscard]] std::span<const uint32_t> representatives() const {
     return rep_;
   }
@@ -95,6 +103,7 @@ class CollapseMap {
     return prunable_[i] != 0;
   }
 
+  /// Class and deferral counts over the whole list.
   [[nodiscard]] const CollapseStats& stats() const { return stats_; }
 
  private:

@@ -15,6 +15,8 @@
 
 namespace lbist::fault {
 
+/// Fault polarity: stuck-at for the static universe, slow-to-rise /
+/// slow-to-fall for the transition universe.
 enum class FaultType : uint8_t {
   kStuckAt0,
   kStuckAt1,
@@ -22,11 +24,13 @@ enum class FaultType : uint8_t {
   kSlowToFall,
 };
 
+/// Short report name of `t`: "sa0", "sa1", "str" or "stf".
 [[nodiscard]] std::string_view faultTypeName(FaultType t);
 
 /// Pin index meaning "the gate's output stem".
 inline constexpr uint8_t kOutputPin = 0xff;
 
+/// One fault: a site (gate output stem or fanin pin) and its polarity.
 struct Fault {
   GateId gate;
   uint8_t pin = kOutputPin;  // kOutputPin or fanin slot
@@ -36,6 +40,7 @@ struct Fault {
   /// print this instead of raw gate ids.
   [[nodiscard]] std::string describe(const Netlist& nl) const;
 
+  /// Same site and polarity.
   friend bool operator==(const Fault& a, const Fault& b) {
     return a.gate == b.gate && a.pin == b.pin && a.type == b.type;
   }
@@ -50,16 +55,24 @@ struct Fault {
 ///   BUF/NOT: both pin faults collapse onto the stem.
 [[nodiscard]] bool pinFaultCollapsesOntoStem(CellKind k, bool fault_is_low);
 
+/// Where a fault stands. Coverage counts kDetected and kChainTested as
+/// covered; test coverage drops kUntestable and kRedundant from its
+/// denominator.
 enum class FaultStatus : uint8_t {
   kUndetected,
   kDetected,        // seen at an observation point by simulation/ATPG
   kChainTested,     // on the scan shift path; covered by the chain flush test
-  kUntestable,      // structurally untestable (e.g. unobservable stem)
-  kRedundant,       // proved untestable by a completed search (SAT UNSAT
-                    // verdict or exhausted PODEM tree) — a machine-checkable
-                    // proof, not a structural shortcut
+  kUntestable,      // untestable without a proof: a constant cell's own
+                    // value (enumerate), a fault tied or blocked by the
+                    // held pins or with no structural path to the
+                    // observation set (FaultSimulator::classifyUntestable),
+                    // or a PODEM target whose search tree ran out
+  kRedundant,       // proved untestable by a completed CDCL search (SAT
+                    // UNSAT verdict) — a machine-checkable proof, not a
+                    // structural shortcut
 };
 
+/// A fault with its status and detection bookkeeping.
 struct FaultRecord {
   Fault fault;
   FaultStatus status = FaultStatus::kUndetected;
@@ -78,11 +91,13 @@ struct Coverage {
   size_t untestable = 0;
   size_t redundant = 0;
 
+  /// Covered faults over all faults, in percent.
   [[nodiscard]] double faultCoveragePercent() const {
     return total == 0 ? 0.0
                       : 100.0 * static_cast<double>(detected + chain_tested) /
                             static_cast<double>(total);
   }
+  /// Covered faults over the testable ones, in percent.
   [[nodiscard]] double testCoveragePercent() const {
     const size_t den = total - untestable - redundant;
     return den == 0 ? 0.0
@@ -93,6 +108,7 @@ struct Coverage {
   friend bool operator==(const Coverage&, const Coverage&) = default;
 };
 
+/// What FaultList::enumerate lists and how it starts their statuses.
 struct FaultListOptions {
   bool collapse = true;          // structural equivalence collapsing
   bool include_pin_faults = true;
@@ -102,6 +118,8 @@ struct FaultListOptions {
   bool mark_chain_faults = true;
 };
 
+/// The fault universe of one netlist in enumeration order; indices are
+/// stable for the list's lifetime.
 class FaultList {
  public:
   /// Enumerates (optionally collapsed) faults of `kind` for every
@@ -116,26 +134,33 @@ class FaultList {
   static FaultList enumerateTransition(const Netlist& nl,
                                        const FaultListOptions& opts = {});
 
+  /// Number of faults.
   [[nodiscard]] size_t size() const { return records_.size(); }
+  /// Fault `i`'s record.
   [[nodiscard]] const FaultRecord& record(size_t i) const {
     return records_[i];
   }
+  /// Fault `i`'s record, for engines that update it.
   [[nodiscard]] FaultRecord& record(size_t i) { return records_[i]; }
+  /// Every record, in fault-index order.
   [[nodiscard]] std::span<const FaultRecord> records() const {
     return records_;
   }
 
+  /// Overwrites fault `i`'s status.
   void setStatus(size_t i, FaultStatus s) { records_[i].status = s; }
 
   /// Marks a detection of fault `i` by pattern `pattern_index`; promotes
   /// kUndetected to kDetected and counts repeats for N-detect stats.
   void recordDetection(size_t i, int64_t pattern_index);
 
+  /// Status counts over the whole list.
   [[nodiscard]] Coverage coverage() const;
 
   /// Indices of faults still undetected (excluding untestable/chain).
   [[nodiscard]] std::vector<size_t> undetectedIndices() const;
 
+  /// Fault `i` rendered by Fault::describe.
   [[nodiscard]] std::string describe(const Netlist& nl, size_t i) const;
 
  private:

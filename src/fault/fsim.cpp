@@ -814,38 +814,84 @@ size_t FaultSimulator::simulateBlockStuckAtStaged(
   }
 }
 
-size_t FaultSimulator::markUnobservable() {
-  std::vector<uint8_t> reaches(nl_->numGates(), 0);
-  std::vector<GateId> queue = observed_;
-  for (GateId o : observed_) reaches[o.v] = 1;
-  while (!queue.empty()) {
-    const GateId g = queue.back();
-    queue.pop_back();
-    if (!isCombinational(nl_->gate(g).kind)) continue;
-    for (GateId f : nl_->gate(g).fanins) {
-      if (reaches[f.v] == 0) {
-        reaches[f.v] = 1;
-        queue.push_back(f);
+size_t FaultSimulator::classifyUntestable(
+    std::span<const std::pair<GateId, bool>> held) {
+  OBS_SPAN("fault.classify");
+  using sim::kX3;
+  std::vector<uint8_t> val(nl_->numGates(), kX3);
+  for (const auto& [id, v] : held) val[id.v] = v ? 1 : 0;
+  compiled_->eval3(val.data());
+  // The select of a MUX, or kX3 for any other gate.
+  const auto select = [&](const Gate& g) {
+    return g.kind == CellKind::kMux2 ? val[g.fanins[2].v] : kX3;
+  };
+
+  // Gates with a path to the observation set: over X-valued gates only,
+  // into a held-select MUX through its selected input only (`live`), or
+  // over every gate (`structural`).
+  const auto walk = [&](bool use_held) {
+    std::vector<uint8_t> reached(nl_->numGates(), 0);
+    std::vector<GateId> stack;
+    const auto visit = [&](GateId g) {
+      if (reached[g.v] == 0 && (!use_held || val[g.v] == kX3)) {
+        reached[g.v] = 1;
+        stack.push_back(g);
+      }
+    };
+    for (GateId o : observed_) visit(o);
+    while (!stack.empty()) {
+      const Gate& g = nl_->gate(stack.back());
+      stack.pop_back();
+      if (!isCombinational(g.kind)) continue;
+      if (const uint8_t sel = use_held ? select(g) : kX3; sel != kX3) {
+        visit(g.fanins[sel]);
+      } else {
+        for (GateId f : g.fanins) visit(f);
       }
     }
-  }
+    return reached;
+  };
+  const std::vector<uint8_t> live = walk(true);
+  const std::vector<uint8_t> structural = held.empty() ? live : walk(false);
 
-  size_t marked = 0;
+  uint64_t tied = 0;
+  uint64_t blocked = 0;
   for (size_t fi = 0; fi < faults_->size(); ++fi) {
     FaultRecord& rec = faults_->record(fi);
     if (rec.status != FaultStatus::kUndetected) continue;
-    const Gate& g = nl_->gate(rec.fault.gate);
+    const Fault& f = rec.fault;
+    const Gate& g = nl_->gate(f.gate);
+    const bool on_pin = f.pin != kOutputPin;
+    const uint8_t site = val[on_pin ? g.fanins[f.pin].v : f.gate.v];
+    const bool stuck = f.type == FaultType::kStuckAt0 ||
+                       f.type == FaultType::kStuckAt1;
+    const uint8_t stuck_value = f.type == FaultType::kStuckAt1 ? 1 : 0;
+    if (site != kX3 && (!stuck || site == stuck_value)) {
+      rec.status = FaultStatus::kUntestable;
+      ++tied;
+      continue;
+    }
+    // Forcing a site held at the opposite value is no refinement of its
+    // 01X value, so held gates downstream may flip: only the structural
+    // walk bounds where that fault effect goes.
+    const std::vector<uint8_t>& reach = site == kX3 ? live : structural;
     bool observable;
-    if (rec.fault.pin != kOutputPin && g.kind == CellKind::kDff) {
+    if (!on_pin) {
+      observable = reach[f.gate.v] != 0;
+    } else if (g.kind == CellKind::kDff) {
       observable = (g.flags & kFlagScanCell) != 0;
     } else {
-      observable = reaches[rec.fault.gate.v] != 0;
+      const uint8_t sel = site == kX3 ? select(g) : kX3;
+      observable = reach[f.gate.v] != 0 && (sel == kX3 || sel == f.pin);
     }
     if (!observable) {
       rec.status = FaultStatus::kUntestable;
-      ++marked;
+      ++blocked;
     }
   }
+  OBS_COUNT("fault.classified_tied", tied);
+  OBS_COUNT("fault.classified_blocked", blocked);
+  const size_t marked = tied + blocked;
   if (marked > 0) refreshActiveSet();
   return marked;
 }

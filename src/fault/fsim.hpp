@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "core/thread_pool.hpp"
@@ -135,6 +136,8 @@ struct FsimOptions {
 /// the simulate paths.
 void validateFsimOptions(const FsimOptions& opts);
 
+/// The PPSFP engine of the file comment, bound to one netlist, fault
+/// list and observation set.
 class FaultSimulator {
  public:
   /// `observed` is the set of gates whose output values the tester can
@@ -196,9 +199,31 @@ class FaultSimulator {
   /// itself (PIs held). Returns newly detected faults.
   size_t simulateBlockTransition(int64_t pattern_base, int n_patterns = -1);
 
-  /// Marks every live fault with no structural path to the observation
-  /// set as untestable. Returns how many were marked.
-  size_t markUnobservable();
+  /// Marks kUntestable every kUndetected fault that no pattern holding
+  /// the `held` sources at their values can detect. One 01X pass
+  /// (sim::CompiledNetlist::eval3) runs with the held sources at their
+  /// values and every other source at X, constant cells included. A
+  /// walk then goes back from the observation set over X-valued gates
+  /// only; it enters a MUX whose select is held through the selected
+  /// input alone. A fault is
+  ///  * tied when its site (a pin fault's driver) is held at the stuck
+  ///    value, or at either value for a transition fault, since a held
+  ///    line never transitions;
+  ///  * blocked when its site is X and the walk never reached it. A pin
+  ///    fault is blocked when the walk never reached its gate (held
+  ///    gates are never reached) or the pin is a held-select MUX's
+  ///    unselected input; a flop's D-pin fault when the flop is not a
+  ///    scan cell.
+  /// The pass is sound because 01X simulation is monotone: forcing an
+  /// X-valued site to 0 or 1 cannot change a held value downstream, so
+  /// a fault effect travels over X-valued gates only. Forcing a site
+  /// held at the opposite value can, so such a fault is blocked only
+  /// when no path at all leads from its gate to the observation set;
+  /// the rest are left to the engines. With nothing held every gate is
+  /// X, and the pass marks exactly the faults with no structural path
+  /// to the observation set. Returns how many faults were marked.
+  size_t classifyUntestable(
+      std::span<const std::pair<GateId, bool>> held = {});
 
   /// Number of faults still live (undetected and undropped).
   [[nodiscard]] size_t liveFaultCount() const { return active_.size(); }
@@ -241,6 +266,7 @@ class FaultSimulator {
   [[nodiscard]] const CollapseMap& collapseMap() const {
     return collapse_map_;
   }
+  /// collapseMap().stats().
   [[nodiscard]] const CollapseStats& collapseStats() const {
     return collapse_map_.stats();
   }

@@ -205,7 +205,7 @@ TEST(TopUp, LiftsCoverageAfterRandomPhase) {
 
   fault::FaultList fl = fault::FaultList::enumerateStuckAt(nl);
   fault::FaultSimulator fsim(nl, fl, obs);
-  fsim.markUnobservable();
+  fsim.classifyUntestable();
 
   // Short random phase leaves a tail of undetected faults.
   std::mt19937_64 rng(5);

@@ -250,7 +250,7 @@ TEST(Tpi, FaultSimGuidedPointsRaiseCoverage) {
     std::sort(obs.begin(), obs.end());
     obs.erase(std::unique(obs.begin(), obs.end()), obs.end());
     fault::FaultSimulator fsim(core, faults, obs);
-    fsim.markUnobservable();
+    fsim.classifyUntestable();
     std::mt19937_64 rng(77);
     for (int64_t base = 0; base < 4096; base += 64) {
       for (GateId pi : core.inputs()) fsim.setSource(pi, rng());

@@ -224,7 +224,7 @@ TEST(Fsim, DropDetectedShrinksActiveSet) {
   EXPECT_EQ(fsim.liveFaultCount(), fl.undetectedIndices().size());
 }
 
-TEST(Fsim, MarkUnobservableFindsDanglingCone) {
+TEST(Fsim, ClassifyWithNoPinsFindsDanglingCone) {
   Netlist nl;
   const GateId a = nl.addInput("a");
   const GateId b = nl.addInput("b");
@@ -235,13 +235,79 @@ TEST(Fsim, MarkUnobservableFindsDanglingCone) {
   nl.addOutput(used, "y");
   FaultList fl = FaultList::enumerateStuckAt(nl);
   FaultSimulator fsim(nl, fl, poDrivers(nl));
-  const size_t marked = fsim.markUnobservable();
+  const size_t marked = fsim.classifyUntestable();
   EXPECT_GE(marked, 4u);  // dead & dead2 stems at least
   for (size_t i = 0; i < fl.size(); ++i) {
-    if (fl.record(i).fault.gate == dead ||
-        fl.record(i).fault.gate == dead2) {
-      EXPECT_EQ(fl.record(i).status, FaultStatus::kUntestable);
+    const bool in_dead_cone = fl.record(i).fault.gate == dead ||
+                              fl.record(i).fault.gate == dead2;
+    EXPECT_EQ(fl.record(i).status, in_dead_cone ? FaultStatus::kUntestable
+                                                : FaultStatus::kUndetected)
+        << fl.describe(nl, i);
+  }
+  EXPECT_EQ(fsim.liveFaultCount(), fl.size() - marked);
+}
+
+TEST(Fsim, HeldPinsTieAndBlockCones) {
+  // te is held 0: it ties blk, and as the MUX select it blocks d1. g1
+  // reaches y only through blk, so g1, a and b lose every path; c
+  // reaches y through the selected MUX input and stays open.
+  Netlist nl;
+  const GateId a = nl.addInput("a");
+  const GateId b = nl.addInput("b");
+  const GateId c = nl.addInput("c");
+  const GateId te = nl.addInput("te");
+  const GateId g1 = nl.addGate(CellKind::kAnd, {a, b});
+  const GateId blk = nl.addGate(CellKind::kAnd, {g1, te});
+  const GateId m = nl.addGate(CellKind::kMux2, {c, b, te});
+  const GateId y = nl.addGate(CellKind::kOr, {blk, m});
+  nl.addOutput(y, "y");
+  const std::vector<std::pair<GateId, bool>> held = {{te, false}};
+  const FaultListOptions all{.collapse = false,
+                             .include_pin_faults = true,
+                             .mark_chain_faults = false};
+
+  // Held at 0: te, blk and every pin they drive. Blocked: every fault
+  // on a, b or g1 (stems and pins), blk.in0 (its gate is held) and
+  // m.in1 (the unselected input). A stuck-at fault is untestable when
+  // blocked or held at its stuck value; a held site with the opposite
+  // stuck value (te sa1, say) is left open.
+  const auto on_held_line = [&](const Fault& f) {
+    return f.gate == te || (f.gate == blk && f.pin != 0) ||
+           (f.gate == m && f.pin == 2) || (f.gate == y && f.pin == 0);
+  };
+  const auto blocked = [&](const Fault& f) {
+    return f.gate == a || f.gate == b || f.gate == g1 ||
+           (f.gate == blk && f.pin == 0) || (f.gate == m && f.pin == 1);
+  };
+  FaultList fl = FaultList::enumerateStuckAt(nl, all);
+  {
+    FaultSimulator fsim(nl, fl, poDrivers(nl));
+    EXPECT_EQ(fsim.classifyUntestable(), 0u) << "every gate reaches y";
+    const size_t marked = fsim.classifyUntestable(held);
+    size_t expected = 0;
+    for (size_t i = 0; i < fl.size(); ++i) {
+      const Fault& f = fl.record(i).fault;
+      const bool u = blocked(f) ||
+                     (on_held_line(f) && f.type == FaultType::kStuckAt0);
+      expected += u ? 1 : 0;
+      EXPECT_EQ(fl.record(i).status,
+                u ? FaultStatus::kUntestable : FaultStatus::kUndetected)
+          << fl.describe(nl, i);
     }
+    EXPECT_EQ(marked, expected);
+    EXPECT_EQ(fsim.liveFaultCount(), fl.size() - marked);
+  }
+
+  // A held line never transitions: both delay faults on it are tied.
+  FaultList tl = FaultList::enumerateTransition(nl, all);
+  FaultSimulator tsim(nl, tl, poDrivers(nl));
+  tsim.classifyUntestable(held);
+  for (size_t i = 0; i < tl.size(); ++i) {
+    const Fault& f = tl.record(i).fault;
+    EXPECT_EQ(tl.record(i).status, blocked(f) || on_held_line(f)
+                                       ? FaultStatus::kUntestable
+                                       : FaultStatus::kUndetected)
+        << tl.describe(nl, i);
   }
 }
 

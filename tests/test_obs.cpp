@@ -313,6 +313,18 @@ TEST(ObsSeries, FsimSeriesBytesAreIndependentOfThreadCount) {
   const FlowRun f1 = flowRun(ready, 1);
   EXPECT_GT(f1.coverage.detected, 0u);
   EXPECT_NE(f1.series.find("\"fsim.block\""), std::string::npos);
+  // The flow's held-value pass counts what it marked, once per flow.
+  const auto counter = [&](const std::string& name) {
+    for (const auto& [n, v] : f1.counters) {
+      if (n == name) return v;
+    }
+    return uint64_t{0};
+  };
+  EXPECT_GT(counter("fault.classified_tied"), 0u);
+  EXPECT_GT(counter("fault.classified_blocked"), 0u);
+  EXPECT_EQ(counter("fault.classified_tied") +
+                counter("fault.classified_blocked"),
+            f1.coverage.untestable);
   for (const unsigned threads : {2u, 4u}) {
     const FlowRun got = flowRun(ready, threads);
     EXPECT_EQ(got.counters, f1.counters) << "threads=" << threads;

@@ -770,7 +770,7 @@ Netlist topUpCore() {
 
 void runRandomPhase(fault::FaultSimulator& fsim,
                     const std::vector<GateId>& assignable) {
-  fsim.markUnobservable();
+  fsim.classifyUntestable();
   std::mt19937_64 rng(5);
   for (int64_t base = 0; base < 256; base += 64) {
     for (GateId src : assignable) fsim.setSource(src, rng());

@@ -21,6 +21,9 @@
 #include "atpg/podem_interp.hpp"
 #include "atpg/sat.hpp"
 #include "atpg/topup.hpp"
+#include "core/architect.hpp"
+#include "core/flow.hpp"
+#include "core/pattern_source.hpp"
 #include "fault/fsim.hpp"
 #include "gen/ipcore.hpp"
 #include "gen/refcircuits.hpp"
@@ -86,16 +89,24 @@ bool cubeDetects(const Netlist& nl, const TestCube& cube,
 }
 
 /// Exhaustive ground truth for small circuits: simulates every one of
-/// the 2^|assignable| binary stimulus vectors (64 per PPSFP block) and
-/// reports whether any of them detects `f`.
-bool exhaustiveDetects(const Netlist& nl, const fault::Fault& f,
-                       const std::vector<GateId>& obs,
-                       const std::vector<GateId>& assignable) {
+/// the 2^|assignable| binary stimulus vectors (64 per PPSFP block), with
+/// the `held` sources at their values, and reports whether any of them
+/// detects `f`. For a transition fault each vector is a launch state and
+/// simulateBlockTransition computes the capture cycle from it.
+bool exhaustiveDetects(
+    const Netlist& nl, const fault::Fault& f, const std::vector<GateId>& obs,
+    const std::vector<GateId>& assignable,
+    const std::vector<std::pair<GateId, bool>>& held = {}) {
   const size_t n = assignable.size();
   EXPECT_LE(n, 16u) << "exhaustive enumeration capped at 2^16 vectors";
-  fault::FaultList all = fault::FaultList::enumerateStuckAt(
-      nl, {.collapse = false, .include_pin_faults = true,
-           .mark_chain_faults = false});
+  const bool transition = f.type == fault::FaultType::kSlowToRise ||
+                          f.type == fault::FaultType::kSlowToFall;
+  const fault::FaultListOptions opts{.collapse = false,
+                                     .include_pin_faults = true,
+                                     .mark_chain_faults = false};
+  fault::FaultList all =
+      transition ? fault::FaultList::enumerateTransition(nl, opts)
+                 : fault::FaultList::enumerateStuckAt(nl, opts);
   size_t idx = all.size();
   for (size_t i = 0; i < all.size(); ++i) {
     if (all.record(i).fault == f) idx = i;
@@ -120,7 +131,12 @@ bool exhaustiveDetects(const Netlist& nl, const fault::Fault& f,
       }
       fsim.setSource(assignable[i], word);
     }
-    fsim.simulateBlockStuckAt(static_cast<int64_t>(base), lanes);
+    for (const auto& [id, v] : held) fsim.setSource(id, v ? ~uint64_t{0} : 0);
+    if (transition) {
+      fsim.simulateBlockTransition(static_cast<int64_t>(base), lanes);
+    } else {
+      fsim.simulateBlockStuckAt(static_cast<int64_t>(base), lanes);
+    }
     if (all.record(idx).status == fault::FaultStatus::kDetected) return true;
   }
   return false;
@@ -394,7 +410,7 @@ TEST(TopUpEscalation, BitIdenticalAcrossThreadCounts) {
     // Short random phase so the escalation sweep starts from a
     // realistic hard tail rather than the full universe.
     fault::FaultSimulator fsim(nl, base, s.observed);
-    fsim.markUnobservable();
+    fsim.classifyUntestable();
     std::mt19937_64 rng(5);
     for (int64_t b = 0; b < 256; b += 64) {
       for (GateId src : s.assignable) fsim.setSource(src, rng());
@@ -660,7 +676,7 @@ TEST(TopUpEscalation, ResultsMatchTheRecordedRun) {
   const SeededCore c = seededCore();
   fault::FaultList fl = fault::FaultList::enumerateStuckAt(c.nl);
   fault::FaultSimulator fsim(c.nl, fl, c.s.observed);
-  fsim.markUnobservable();
+  fsim.classifyUntestable();
   std::mt19937_64 rng(5);
   for (int64_t b = 0; b < 128; b += 64) {
     for (GateId src : c.s.assignable) fsim.setSource(src, rng());
@@ -777,6 +793,213 @@ TEST(SatEngine, AnswersDoNotDependOnSolveHistory) {
   EXPECT_GT(untestable, 0u);
   EXPECT_GT(direct, 0u);
   EXPECT_GT(conflicts, 0u);
+}
+
+// ------------------------------------------- held-value classification
+
+/// Runs FaultSimulator::classifyUntestable over `fl` with `held` and
+/// returns the indices it marked.
+std::vector<size_t> classifyHeld(
+    const Netlist& nl, fault::FaultList& fl,
+    const std::vector<GateId>& observed,
+    const std::vector<std::pair<GateId, bool>>& held) {
+  std::vector<fault::FaultStatus> before;
+  for (const fault::FaultRecord& r : fl.records()) before.push_back(r.status);
+  fault::FaultSimulator fsim(nl, fl, observed);
+  const size_t marked = fsim.classifyUntestable(held);
+  std::vector<size_t> out;
+  for (size_t i = 0; i < fl.size(); ++i) {
+    if (fl.record(i).status != before[i]) out.push_back(i);
+  }
+  EXPECT_EQ(out.size(), marked);
+  return out;
+}
+
+/// Requires a SatEngine with `held` fixed to prove every fault in
+/// `indices` untestable.
+void expectSatRefutes(const Netlist& nl, const std::vector<GateId>& observed,
+                      const std::vector<GateId>& assignable,
+                      const std::vector<std::pair<GateId, bool>>& held,
+                      const fault::FaultList& fl,
+                      const std::vector<size_t>& indices) {
+  SatEngine sat(nl, observed, assignable);
+  for (const auto& [id, v] : held) sat.fixSource(id, v);
+  for (size_t i : indices) {
+    TestCube cube;
+    EXPECT_EQ(sat.generate(fl.record(i).fault, cube), AtpgStatus::kUntestable)
+        << fl.describe(nl, i);
+  }
+}
+
+/// The sources of `s` minus the held ones: what the exhaustive oracle
+/// enumerates.
+std::vector<GateId> freeSources(
+    const std::vector<GateId>& assignable,
+    const std::vector<std::pair<GateId, bool>>& held) {
+  std::vector<GateId> out;
+  for (GateId g : assignable) {
+    if (std::none_of(held.begin(), held.end(),
+                     [&](const auto& h) { return h.first == g; })) {
+      out.push_back(g);
+    }
+  }
+  return out;
+}
+
+TEST(HeldValueClassification, SatRefutesEveryClassifiedFaultOnTheSeededCore) {
+  // Contract 7's third verdict source: a fault the held-value pass marks
+  // untestable must be untestable for the CDCL engine with the same
+  // pins fixed.
+  const SeededCore c = seededCore();
+  fault::FaultList open = uncollapsedFaults(c.nl);
+  const size_t structural = classifyHeld(c.nl, open, c.s.observed, {}).size();
+  fault::FaultList fl = uncollapsedFaults(c.nl);
+  const std::vector<size_t> marked =
+      classifyHeld(c.nl, fl, c.s.observed, c.fixed);
+  EXPECT_GT(marked.size(), structural) << "the held pins add no verdict";
+  expectSatRefutes(c.nl, c.s.observed, c.s.assignable, c.fixed, fl, marked);
+}
+
+TEST(HeldValueClassification, SatRefutesEveryClassifiedFaultOnBistReadyCoreX) {
+  // A toy-size Core X through the whole DFT flow, classified the way
+  // CoverageFlow does it: SE held low and test-mode high, the values the
+  // IO wrappers and X-bounding logic are built around.
+  core::LbistConfig cfg;
+  cfg.num_chains = 8;
+  cfg.test_points = 8;
+  cfg.tpi.warmup_patterns = 256;
+  cfg.tpi.guidance_patterns = 128;
+  const core::BistReadyCore ready = core::buildBistReadyCore(
+      gen::generateIpCore(gen::coreXSpec(0.002)), cfg);
+  const core::CoverageFlow flow(ready);
+  fault::FaultList open = fault::FaultList::enumerateStuckAt(ready.netlist);
+  const std::vector<fault::FaultRecord> enumerated(open.records().begin(),
+                                                   open.records().end());
+  const size_t structural =
+      classifyHeld(ready.netlist, open, flow.observed(), {}).size();
+  std::vector<size_t> marked;
+  for (size_t i = 0; i < flow.faults().size(); ++i) {
+    if (enumerated[i].status == fault::FaultStatus::kUndetected &&
+        flow.faults().record(i).status == fault::FaultStatus::kUntestable) {
+      marked.push_back(i);
+    }
+  }
+  EXPECT_GT(marked.size(), structural + 50) << "the held pins add no verdict";
+  const core::PrpgPatternSource pins(ready);
+  expectSatRefutes(ready.netlist, flow.observed(), flow.assignable(),
+                   pins.fixedPins(), flow.faults(), marked);
+}
+
+/// A circuit for the exhaustive oracles and the inputs it holds, each
+/// in turn at every combination of values.
+struct HeldCase {
+  const char* name;
+  Netlist nl;
+  std::vector<GateId> held;
+};
+
+HeldCase heldCase(const char* name, Netlist nl,
+                  std::initializer_list<const char*> pins) {
+  HeldCase c{name, std::move(nl), {}};
+  for (const char* pin : pins) c.held.push_back(*c.nl.findGateByName(pin));
+  return c;
+}
+
+/// Every value combination of `c.held`.
+std::vector<std::vector<std::pair<GateId, bool>>> heldValues(
+    const HeldCase& c) {
+  std::vector<std::vector<std::pair<GateId, bool>>> out;
+  for (uint32_t v = 0; v < (1u << c.held.size()); ++v) {
+    std::vector<std::pair<GateId, bool>> held;
+    for (size_t j = 0; j < c.held.size(); ++j) {
+      held.emplace_back(c.held[j], ((v >> j) & 1u) != 0);
+    }
+    out.push_back(std::move(held));
+  }
+  return out;
+}
+
+TEST(HeldValueClassification, NoStimulusDetectsAClassifiedStuckAtFault) {
+  // Each classified fault goes undetected by all 2^n vectors with the
+  // pins held, and SAT refutes it too.
+  std::vector<HeldCase> cases;
+  cases.push_back(heldCase("c17", gen::buildC17(), {"in3"}));
+  cases.push_back(heldCase("adder4", gen::buildRippleAdder(4), {"cin"}));
+  cases.push_back(heldCase("mini ALU", gen::buildMiniAlu(2), {"op0", "op1"}));
+  cases.push_back(heldCase("counter4", gen::buildCounter(4), {"en"}));
+  cases.push_back(
+      heldCase("XOR trap", gen::buildXorTrap(8, 6, 0xA11CE, true), {"x0"}));
+  size_t checked = 0;
+  for (HeldCase& c : cases) {
+    const ScanSetup s = scanSetup(c.nl);
+    for (const auto& held : heldValues(c)) {
+      const std::vector<GateId> free = freeSources(s.assignable, held);
+      fault::FaultList fl = uncollapsedFaults(c.nl);
+      const std::vector<size_t> marked =
+          classifyHeld(c.nl, fl, s.observed, held);
+      for (size_t i : marked) {
+        EXPECT_FALSE(exhaustiveDetects(c.nl, fl.record(i).fault, s.observed,
+                                       free, held))
+            << c.name << ": " << fl.describe(c.nl, i);
+      }
+      expectSatRefutes(c.nl, s.observed, s.assignable, held, fl, marked);
+      checked += marked.size();
+    }
+  }
+  EXPECT_GT(checked, 100u);
+}
+
+TEST(HeldValueClassification, NoLaunchStateDetectsAClassifiedTransitionFault) {
+  // Transition faults on circuits whose flops feed logic, so the capture
+  // cycle differs from the launch: every classified fault goes
+  // undetected from every launch state with the pins held.
+  gen::IpCoreSpec spec;
+  spec.seed = 5;
+  spec.target_comb_gates = 80;
+  spec.target_ffs = 8;
+  spec.num_inputs = 5;
+  spec.num_outputs = 4;
+  spec.num_domains = 1;
+  spec.num_xsources = 0;
+  spec.num_noscan_ffs = 0;
+  spec.resistant_fraction = 0.0;
+  std::vector<HeldCase> cases;
+  cases.push_back(heldCase("counter4", gen::buildCounter(4), {"en"}));
+  cases.push_back(heldCase("mini ALU", gen::buildMiniAlu(2), {"op0", "op1"}));
+  cases.push_back(heldCase("generated core", gen::generateIpCore(spec), {}));
+  cases.back().held = {cases.back().nl.inputs()[0],
+                       cases.back().nl.inputs()[1]};
+  size_t checked = 0;
+  size_t detectable = 0;
+  for (HeldCase& c : cases) {
+    const ScanSetup s = scanSetup(c.nl);
+    for (const auto& held : heldValues(c)) {
+      const std::vector<GateId> free = freeSources(s.assignable, held);
+      ASSERT_LE(free.size(), 16u) << c.name;
+      fault::FaultList fl = fault::FaultList::enumerateTransition(
+          c.nl, {.collapse = false, .include_pin_faults = true,
+                 .mark_chain_faults = false});
+      const std::vector<size_t> marked =
+          classifyHeld(c.nl, fl, s.observed, held);
+      for (size_t i : marked) {
+        EXPECT_FALSE(exhaustiveDetects(c.nl, fl.record(i).fault, s.observed,
+                                       free, held))
+            << c.name << ": " << fl.describe(c.nl, i);
+      }
+      checked += marked.size();
+      // The oracle itself sees delay faults: some unclassified ones are
+      // detected from some launch state.
+      for (size_t i = 0; i < fl.size(); i += 7) {
+        if (fl.record(i).status != fault::FaultStatus::kUndetected) continue;
+        detectable += exhaustiveDetects(c.nl, fl.record(i).fault, s.observed,
+                                        free, held)
+                          ? 1
+                          : 0;
+      }
+    }
+  }
+  EXPECT_GT(checked, 50u);
+  EXPECT_GT(detectable, 10u);
 }
 
 TEST(CdclSolver, ZeroBudgetSearchesUpToTheFirstConflict) {
