@@ -5,9 +5,12 @@
 // The contract under test (ARCHITECTURE.md contract 7, "engine
 // agreement"): any two ATPG engines must agree on detectable vs
 // redundant for every fault they both complete on; every cube any
-// engine emits must be verified by fault simulation; and a SAT UNSAT
+// engine emits must be verified by fault simulation; a SAT UNSAT
 // verdict must be confirmed by exhaustive enumeration wherever
-// enumeration is feasible (<= 16 assignable sources).
+// enumeration is feasible (<= 16 assignable sources); and every fault
+// the held-value pass (FaultSimulator::classifyUntestable) marks must
+// be refuted by SAT and undetected by enumeration with the same pins
+// held.
 #include <gtest/gtest.h>
 
 #include <algorithm>
