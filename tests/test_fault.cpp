@@ -247,6 +247,89 @@ TEST(Fsim, ClassifyWithNoPinsFindsDanglingCone) {
   EXPECT_EQ(fsim.liveFaultCount(), fl.size() - marked);
 }
 
+/// The structural check classifyUntestable replaced, kept as the
+/// reference for its no-pins form: a fault is untestable when no path
+/// leads from its gate to an observed gate, and a flop's D-pin fault
+/// when the flop is not a scan cell.
+void markStructurallyUnobservable(const Netlist& nl, FaultList& fl,
+                                  const std::vector<GateId>& observed) {
+  std::vector<uint8_t> reaches(nl.numGates(), 0);
+  std::vector<GateId> queue = observed;
+  for (GateId o : observed) reaches[o.v] = 1;
+  while (!queue.empty()) {
+    const GateId g = queue.back();
+    queue.pop_back();
+    if (!isCombinational(nl.gate(g).kind)) continue;
+    for (GateId f : nl.gate(g).fanins) {
+      if (reaches[f.v] == 0) {
+        reaches[f.v] = 1;
+        queue.push_back(f);
+      }
+    }
+  }
+  for (size_t i = 0; i < fl.size(); ++i) {
+    FaultRecord& rec = fl.record(i);
+    if (rec.status != FaultStatus::kUndetected) continue;
+    const Gate& g = nl.gate(rec.fault.gate);
+    const bool observable =
+        rec.fault.pin != kOutputPin && g.kind == CellKind::kDff
+            ? (g.flags & kFlagScanCell) != 0
+            : reaches[rec.fault.gate.v] != 0;
+    if (!observable) rec.status = FaultStatus::kUntestable;
+  }
+}
+
+TEST(Fsim, ClassifyWithNoPinsMatchesTheStructuralCheck) {
+  // Seeded cores with non-scan flops, X sources and half the scan
+  // cells unobserved, so some cones reach no observation point. With no
+  // pins the pass marks exactly what the structural check marks; with
+  // two inputs held it marks a strict superset.
+  for (const uint64_t seed : {3u, 4u, 5u}) {
+    gen::IpCoreSpec spec;
+    spec.seed = seed;
+    spec.target_comb_gates = 400;
+    spec.target_ffs = 32;
+    spec.num_inputs = 12;
+    spec.num_outputs = 8;
+    spec.num_domains = 1;
+    spec.num_xsources = 2;
+    spec.num_noscan_ffs = 4;
+    Netlist nl = gen::generateIpCore(spec);
+    std::vector<GateId> obs = poDrivers(nl);
+    bool observe = true;
+    for (GateId dff : nl.dffs()) {
+      if ((nl.gate(dff).flags & kFlagNoScan) != 0) continue;
+      nl.setFlag(dff, kFlagScanCell);
+      if (observe) obs.push_back(nl.gate(dff).fanins[0]);
+      observe = !observe;
+    }
+    FaultList ref = FaultList::enumerateStuckAt(nl);
+    markStructurallyUnobservable(nl, ref, obs);
+    FaultList got = FaultList::enumerateStuckAt(nl);
+    FaultSimulator(nl, got, obs).classifyUntestable();
+    FaultList held = FaultList::enumerateStuckAt(nl);
+    FaultSimulator(nl, held, obs)
+        .classifyUntestable({{{nl.inputs()[0], false},
+                              {nl.inputs()[1], true}}});
+    size_t structural = 0;
+    size_t extra = 0;
+    for (size_t i = 0; i < ref.size(); ++i) {
+      ASSERT_EQ(got.record(i).status, ref.record(i).status)
+          << "seed " << seed << ": " << ref.describe(nl, i);
+      const bool marked = ref.record(i).status == FaultStatus::kUntestable;
+      structural += marked ? 1 : 0;
+      if (marked) {
+        EXPECT_EQ(held.record(i).status, FaultStatus::kUntestable)
+            << "seed " << seed << ": " << ref.describe(nl, i);
+      } else if (held.record(i).status == FaultStatus::kUntestable) {
+        ++extra;
+      }
+    }
+    EXPECT_GT(structural, 0u) << "seed " << seed;
+    EXPECT_GT(extra, 0u) << "seed " << seed;
+  }
+}
+
 TEST(Fsim, HeldPinsTieAndBlockCones) {
   // te is held 0: it ties blk, and as the MUX select it blocks d1. g1
   // reaches y only through blk, so g1, a and b lose every path; c
