@@ -9,18 +9,30 @@
 // "pattern p" is. Widening the lane block never changes which stimulus
 // pattern p receives — the PRPG stream is consumed strictly in pattern
 // order regardless of how many lanes each block packs.
+//
+// The load is bit-sliced (Biham, FSE 1997). The LFSR, phase shifter and
+// space expander are linear over GF(2), so every scan cell's stimulus
+// is a fixed linear form of its domain LFSR's state at the pattern's
+// first shift cycle: the chain's tap row, with expander taps folded in,
+// times A^k, where A is the LFSR transition matrix and k the shift
+// cycle that injects the cell's bit. The constructor builds these
+// forms. A block load jumps from pattern to pattern with A^shift_cycles,
+// transposes the lanes' start states into one word per LFSR bit, and
+// XORs each cell's row from the words its form selects.
 #pragma once
 
 #include <cstdint>
 #include <utility>
 #include <vector>
 
-#include "bist/prpg.hpp"
+#include "bist/gf2.hpp"
 #include "core/architect.hpp"
 #include "fault/fsim.hpp"
 
 namespace lbist::core {
 
+/// The PRPG-exact pattern stream of a BistReadyCore, loaded one lane
+/// block at a time into a simulator (see the file comment).
 class PrpgPatternSource {
  public:
   /// Binds `core` and sizes the per-cell stimulus rows for blocks of
@@ -53,16 +65,31 @@ class PrpgPatternSource {
   }
 
  private:
+  /// One clock domain's PRPG as a linear map of its LFSR state.
+  struct DomainModel {
+    /// LFSR bits.
+    int length = 0;
+    /// LFSR state at the next pattern's first shift cycle.
+    uint64_t state = 0;
+    /// A^shift_cycles: the state one pattern later.
+    bist::Gf2Matrix pattern_step;
+    /// Every scan cell the domain loads, with its stimulus as a linear
+    /// form of `state` (bit j selects LFSR bit j).
+    std::vector<std::pair<GateId, uint64_t>> cell_forms;
+  };
+
   void computeCellWords(int lanes);
 
   const BistReadyCore* core_;
   size_t lane_words_;
-  std::vector<bist::Prpg> prpgs_;
+  std::vector<DomainModel> domains_;
   std::vector<std::pair<GateId, bool>> fixed_;
   // Per-gate stimulus rows for the current block, gate-major with
   // stride laneWords(): gate g's lanes at [g*W, g*W + W).
   std::vector<uint64_t> cell_words_;
-  std::vector<std::vector<uint8_t>> slice_;
+  // The block's LFSR start states transposed: bit j of every lane's
+  // state at [j*W, j*W + W).
+  std::vector<uint64_t> state_words_;
 };
 
 }  // namespace lbist::core

@@ -202,7 +202,7 @@ LaneWord<W> FaultSimulator::propagateSeedsW(
     ScratchW<W>& sc, std::span<const SeedW<W>> seeds,
     const uint64_t* good_vals, const std::vector<uint8_t>& observed,
     const Fault* forced, bool record_touched,
-    const LaneWord<W>& early_exit_mask) const {
+    const LaneWord<W>& open_lanes) const {
   using Cell = typename ScratchW<W>::Cell;
   const sim::CompiledNetlist& cn = *compiled_;
   const uint32_t serial = ++sc.serial;
@@ -211,6 +211,11 @@ LaneWord<W> FaultSimulator::propagateSeedsW(
   uint64_t* const lbits = sc.level_bits.data();
   if (record_touched) sc.touched.clear();
   LaneWord<W> detect;
+  // Lanes still propagating. A lane retires once it detects: by lane
+  // independence nothing it does downstream can change its result.
+  // Recording the reach cone keeps every lane open.
+  LaneWord<W> open = open_lanes;
+  const bool retire = !record_touched;
 
   auto schedule_fanouts = [&](uint32_t g) {
     for (const sim::CompiledNetlist::FanoutEntry& e : cn.combFanout(g)) {
@@ -223,12 +228,16 @@ LaneWord<W> FaultSimulator::propagateSeedsW(
   };
 
   for (const SeedW<W>& s : seeds) {
-    if (!s.diff.any()) continue;
+    const LaneWord<W> diff = s.diff & open;
+    if (!diff.any()) continue;
     Cell& c = ov[s.gate.v];
-    c.fval = LaneWord<W>::load(good + size_t{s.gate.v} * W) ^ s.diff;
+    c.fval = LaneWord<W>::load(good + size_t{s.gate.v} * W) ^ diff;
     c.stamp = serial;
     if (record_touched) sc.touched.push_back(s.gate);
-    if (observed[s.gate.v] != 0) detect |= s.diff;
+    if (observed[s.gate.v] != 0) {
+      detect |= diff;
+      if (retire) open &= ~diff;
+    }
     schedule_fanouts(s.gate.v);
   }
 
@@ -239,8 +248,8 @@ LaneWord<W> FaultSimulator::propagateSeedsW(
   const uint32_t forced_gate =
       forced != nullptr ? forced->gate.v : sim::CompiledNetlist::kNoOp;
 
-  // Clears every still-scheduled bucket from word `from` on — the
-  // early-exit paths must leave the wheel empty for the next fault.
+  // Clears every still-scheduled bucket from word `from` on — a call
+  // that stops early must leave the wheel empty for the next one.
   auto clear_schedule = [&](size_t from) {
     for (size_t w = from; w < sc.level_bits.size(); ++w) {
       while (lbits[w] != 0) {
@@ -252,8 +261,7 @@ LaneWord<W> FaultSimulator::propagateSeedsW(
     }
   };
 
-  const bool early = early_exit_mask.any();
-  if (early && detect.covers(early_exit_mask)) {
+  if (!open.any()) {
     // Every lane already detects at the seeds.
     clear_schedule(0);
     return detect;
@@ -292,22 +300,27 @@ LaneWord<W> FaultSimulator::propagateSeedsW(
                        : evalPinForcedOverlayW<W>(sc, GateId{g}, forced->pin,
                                                   forced_word, good_vals);
         }
+        // The overlay holds the faulty machine in the open lanes and the
+        // good machine in the rest.
+        const LaneWord<W> good_val = LaneWord<W>::load(good + size_t{g} * W);
+        const LaneWord<W> d = (newval ^ good_val) & open;
         Cell& c = ov[g];
-        c.fval = newval;
+        c.fval = good_val ^ d;
         c.stamp = serial;
-        const LaneWord<W> d =
-            newval ^ LaneWord<W>::load(good + size_t{g} * W);
         if (!d.any()) continue;
         if (record_touched) sc.touched.push_back(GateId{g});
         if (observed[g] != 0) {
           detect |= d;
-          if (early && detect.covers(early_exit_mask)) {
-            // The mask is saturated: nothing downstream can change the
-            // result. Clear the outstanding schedule and stop.
-            bucket.clear();
-            clear_schedule(w);
-            OBS_COUNT("fsim.events_popped", popped);
-            return detect;
+          if (retire) {
+            open &= ~d;
+            if (!open.any()) {
+              // Every lane has detected: nothing downstream can change
+              // the result. Clear the outstanding schedule and stop.
+              bucket.clear();
+              clear_schedule(w);
+              OBS_COUNT("fsim.events_popped", popped);
+              return detect;
+            }
           }
         }
         schedule_fanouts(g);
@@ -401,7 +414,7 @@ void FaultSimulator::computeObservabilityW(const LaneWord<W>& lane_mask,
   // Phase A — one full-lane diff propagation per stem. Lane independence
   // of word-parallel evaluation makes the result exact: lane l of the
   // detect block is precisely "a flip of this stem in lane l reaches the
-  // observation set".
+  // observation set", and a lane stops propagating once it has.
   const size_t n_stems = stems_.size();
   auto stem_range = [&](ScratchW<W>& sc, size_t lo, size_t hi) {
     for (size_t i = lo; i < hi; ++i) {
@@ -409,7 +422,7 @@ void FaultSimulator::computeObservabilityW(const LaneWord<W>& lane_mask,
       const SeedW<W> seed{GateId{s}, lane_mask};
       propagateSeedsW<W>(sc, {&seed, 1}, good, is_observed_,
                          /*forced=*/nullptr, /*record_touched=*/false,
-                         /*early_exit_mask=*/lane_mask)
+                         /*open_lanes=*/lane_mask)
           .store(obs_out_.data() + size_t{s} * W);
     }
   };
@@ -554,12 +567,12 @@ size_t FaultSimulator::simulateActiveFaultsW(int64_t pattern_base,
       if (inj.diff.any()) {
         const SeedW<W> seed{f.gate, inj.diff};
         // Every downstream diff stays within the seed's activated lanes,
-        // so the wheel may stop once all of them detect. Reach observers
-        // need the complete cone; they disable the shortcut.
-        detect |= propagateSeedsW<W>(
-            sc, {&seed, 1}, good_vals, is_observed_,
-            /*forced=*/nullptr, /*record_touched=*/capture_reach,
-            capture_reach ? LaneWord<W>{} : inj.diff);
+        // and each of them retires once it detects. Reach observers
+        // record the touched cone, which keeps every lane open.
+        detect |= propagateSeedsW<W>(sc, {&seed, 1}, good_vals, is_observed_,
+                                     /*forced=*/nullptr,
+                                     /*record_touched=*/capture_reach,
+                                     /*open_lanes=*/inj.diff);
         block_had_diff_[ci] = 1;
         if (inline_observer) {
           reach_observer_->onFaultEffects(compute_faults_[ci], sc.touched);
@@ -690,24 +703,27 @@ size_t FaultSimulator::simulateStagedW(
       LaneWord<W> detect;
 
       for (size_t j = 0; j < n_stages; ++j) {
+        // Later stages only add detections, so a lane that has detected
+        // stays closed, and the fault is done once every lane has.
+        const LaneWord<W> open = lane_mask & ~detect;
+        if (!open.any()) break;
         const uint64_t* const frame = frame_vals_[j].data();
         seeds.assign(held.begin(), held.end());
         if (!dff_pin) {
           // The stuck line is active in every frame; re-inject against
           // this frame's good values.
-          const InjectResultW<W> inj =
-              injectStuckAtW<W>(f, lane_mask, frame);
+          const InjectResultW<W> inj = injectStuckAtW<W>(f, open, frame);
           if (inj.diff.any()) seeds.push_back({f.gate, inj.diff});
         }
         const bool propagated = !seeds.empty();
         if (propagated) {
-          // No early exit: the captured-diff collection below reads the
-          // overlay cells this propagation writes.
+          // Lanes retire as they detect. In the lanes still open the
+          // overlay cells this propagation writes hold the faulty
+          // machine, which the captured-diff collection below reads.
           detect |= propagateSeedsW<W>(sc, seeds, frame, stage_observed_[j],
                                        dff_pin ? nullptr : &f,
-                                       /*record_touched=*/false,
-                                       /*early_exit_mask=*/LaneWord<W>{}) &
-                    lane_mask;
+                                       /*record_touched=*/false, open);
+          if (detect.covers(lane_mask)) break;
         }
 
         // Collect this stage's corrupted captures: they stay corrupted

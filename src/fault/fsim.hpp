@@ -334,23 +334,25 @@ class FaultSimulator {
 
   /// Propagates the seeds' diffs through their cones against the
   /// `good_vals` frame (gate-major, stride W); returns the detection
-  /// block accumulated over gates flagged in `observed`. Fills
-  /// sc.touched only when `record_touched` (reach observers) — the plain
-  /// detection path skips the log. When `forced` names a stuck-at fault,
-  /// re-evaluations of its gate keep the fault applied (needed when
-  /// another seed's cone feeds the fault site). A non-zero
-  /// `early_exit_mask` lets the wheel stop once every lane of it has
-  /// detected — the return value cannot change further; callers that
-  /// read the overlay afterwards (staged capture collection) or want the
-  /// full reach cone must pass zero.
+  /// block accumulated over gates flagged in `observed`. Only the
+  /// `open_lanes` propagate: seed diffs are masked to them. A lane
+  /// retires once it detects — every later diff is ANDed with the lanes
+  /// still open — and the wheel stops when none is. That is exact by
+  /// lane independence: what a detected lane does downstream cannot
+  /// change its result. Afterwards the overlay holds the faulty machine
+  /// in the lanes still open and the good machine in the rest. When
+  /// `record_touched` (reach observers) no lane retires, so sc.touched
+  /// logs the complete cone; the plain detection path skips the log.
+  /// When `forced` names a stuck-at fault, re-evaluations of its gate
+  /// keep the fault applied (needed when another seed's cone feeds the
+  /// fault site).
   template <size_t W>
   sim::LaneWord<W> propagateSeedsW(ScratchW<W>& sc,
                                    std::span<const SeedW<W>> seeds,
                                    const uint64_t* good_vals,
                                    const std::vector<uint8_t>& observed,
                                    const Fault* forced, bool record_touched,
-                                   const sim::LaneWord<W>& early_exit_mask)
-      const;
+                                   const sim::LaneWord<W>& open_lanes) const;
 
   template <size_t W>
   size_t simulateActiveFaultsW(int64_t pattern_base, int n_patterns,

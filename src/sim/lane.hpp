@@ -90,7 +90,7 @@ struct LaneWord {
   }
 
   /// True when every lane of `m` is also set here ((*this & m) == m) —
-  /// the saturation test of the early-exit propagation paths.
+  /// e.g. every pattern of a block has detected a fault.
   [[nodiscard]] bool covers(const LaneWord& m) const {
     uint64_t miss = 0;
     for (size_t i = 0; i < W; ++i) miss |= m.w[i] & ~w[i];

@@ -2,14 +2,18 @@
 // flow, JTAG-driven LbistTop, and Table 1 reporting.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <random>
+#include <set>
 #include <stdexcept>
 #include <string>
 
+#include "bist/prpg.hpp"
 #include "core/architect.hpp"
 #include "core/flow.hpp"
 #include "core/lbist_top.hpp"
+#include "core/pattern_source.hpp"
 #include "core/report.hpp"
 #include "core/session.hpp"
 #include "core/thread_pool.hpp"
@@ -20,6 +24,7 @@
 #include "netlist/stats.hpp"
 #include "obs/obs.hpp"
 #include "sim/seqsim.hpp"
+#include "sim/sim2v.hpp"
 
 namespace lbist::core {
 namespace {
@@ -417,6 +422,99 @@ TEST(Flow, PrpgExactStatesMatchSessionShift) {
   BistSession a(ready, ready.netlist);
   BistSession b(reseeded, reseeded.netlist);
   EXPECT_NE(a.run(opts).signatures, b.run(opts).signatures);
+}
+
+/// The scalar load that PrpgPatternSource's bit-sliced model replaced:
+/// every domain's Prpg steps once per lane and shift cycle, and the bit
+/// it injects at cycle k lands in cell (L-1-k) of each chain. Returns
+/// each block's per-gate rows, gate-major with stride `lane_words`.
+class ScalarPrpgReference {
+ public:
+  ScalarPrpgReference(const BistReadyCore& core, size_t lane_words)
+      : core_(&core), lane_words_(lane_words) {
+    for (const DomainBist& db : core.domain_bist) {
+      prpgs_.emplace_back(db.prpg);
+    }
+  }
+
+  std::vector<uint64_t> nextBlock(int lanes) {
+    const int shift_cycles = core_->shiftCyclesPerPattern();
+    std::vector<uint64_t> words(core_->netlist.numGates() * lane_words_, 0);
+    std::vector<uint8_t> slice;
+    for (int lane = 0; lane < lanes; ++lane) {
+      const size_t word = static_cast<size_t>(lane) / 64;
+      const uint64_t bit = uint64_t{1} << (lane % 64);
+      for (size_t i = 0; i < prpgs_.size(); ++i) {
+        const DomainBist& db = core_->domain_bist[i];
+        slice.assign(db.chain_indices.size(), 0);
+        for (int k = 0; k < shift_cycles; ++k) {
+          prpgs_[i].nextSlice(slice);
+          const int cell_pos = shift_cycles - 1 - k;
+          for (size_t c = 0; c < db.chain_indices.size(); ++c) {
+            const dft::ScanChain& chain =
+                core_->scan.chains[db.chain_indices[c]];
+            if (cell_pos < static_cast<int>(chain.cells.size()) &&
+                slice[c] != 0) {
+              words[chain.cells[static_cast<size_t>(cell_pos)].v *
+                        lane_words_ +
+                    word] |= bit;
+            }
+          }
+        }
+      }
+    }
+    return words;
+  }
+
+ private:
+  const BistReadyCore* core_;
+  size_t lane_words_;
+  std::vector<bist::Prpg> prpgs_;
+};
+
+TEST(PatternSource, BitSlicedLoadsMatchTheScalarPrpg) {
+  LbistConfig cfg = smallConfig();
+  cfg.num_chains = 7;
+  BistReadyCore ready = buildBistReadyCore(testCore(31, 3), cfg);
+  ASSERT_EQ(ready.domain_bist.size(), 3u);
+  std::set<size_t> lengths;
+  for (const dft::ScanChain& chain : ready.scan.chains) {
+    lengths.insert(chain.cells.size());
+  }
+  ASSERT_GE(lengths.size(), 2u) << "want chains of unequal length";
+  // Fewer phase-shifter channels than chains puts a space expander in
+  // the widest domain's path.
+  DomainBist& widest = *std::max_element(
+      ready.domain_bist.begin(), ready.domain_bist.end(),
+      [](const DomainBist& a, const DomainBist& b) {
+        return a.chain_indices.size() < b.chain_indices.size();
+      });
+  ASSERT_GE(widest.chain_indices.size(), 3u);
+  widest.prpg.ps_channels = 2;
+  ASSERT_NE(bist::Prpg(widest.prpg).expander(), nullptr);
+
+  for (const size_t w : {size_t{1}, size_t{4}, size_t{8}}) {
+    // Eight full blocks with a partial one mid-stream and another last.
+    std::vector<int> blocks(8, static_cast<int>(64 * w));
+    blocks.insert(blocks.begin() + 4, 37);
+    blocks.push_back(w == 4 ? 200 : 37);
+    PrpgPatternSource source(ready, w);
+    ScalarPrpgReference ref(ready, w);
+    sim::Simulator2v sim(ready.netlist, w);
+    for (size_t b = 0; b < blocks.size(); ++b) {
+      source.loadBlock(sim, blocks[b]);
+      const std::vector<uint64_t> want = ref.nextBlock(blocks[b]);
+      for (const dft::ScanChain& chain : ready.scan.chains) {
+        for (GateId cell : chain.cells) {
+          for (size_t wi = 0; wi < w; ++wi) {
+            ASSERT_EQ(sim.valueWord(cell, wi), want[cell.v * w + wi])
+                << "W=" << w << " block " << b << " cell " << cell.v
+                << " word " << wi;
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(Flow, TransitionUniverseWorks) {

@@ -21,6 +21,7 @@
 #include "diag/dictionary.hpp"
 #include "fault/fault.hpp"
 #include "fault/fsim.hpp"
+#include "fault/inject.hpp"
 #include "gen/ipcore.hpp"
 #include "gen/refcircuits.hpp"
 #include "sim/sim2v.hpp"
@@ -104,13 +105,15 @@ struct CampaignConfig {
   uint32_t n_detect = 2;
   bool staged = false;  // per-domain staged capture (dictionary path)
   bool transition = false;
+  fault::FaultListOptions list;  // how the fault universe is enumerated
 };
 
 CampaignState runLaneCampaign(const Netlist& nl, const Stimulus& st,
                               int64_t n_patterns,
                               const CampaignConfig& cfg) {
-  FaultList faults = cfg.transition ? FaultList::enumerateTransition(nl)
-                                    : FaultList::enumerateStuckAt(nl);
+  FaultList faults = cfg.transition
+                         ? FaultList::enumerateTransition(nl, cfg.list)
+                         : FaultList::enumerateStuckAt(nl, cfg.list);
   FsimOptions opts;
   opts.n_detect = cfg.n_detect;
   opts.drop_detected = cfg.drop;
@@ -302,6 +305,134 @@ TEST(LaneDifferential, StagedCaptureRowsAcrossWidths) {
       cfg.threads = threads;
       const CampaignState got = runLaneCampaign(nl, st, n_patterns, cfg);
       ASSERT_EQ(got.rows, ref.rows) << "W=" << W << " threads=" << threads;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------
+// Staged capture against a frame-by-frame reference. The reference
+// hardwires the fault into a copy of the netlist (fault::injectStuckAt)
+// and runs both machines through the capture window one stage at a time.
+
+/// `nl` with every flop flagged a scan cell. The staged engine credits a
+/// flop's D-pin fault only at a scan cell's unload, and the reference
+/// sees it at every observed flop; with every flop a scan cell and
+/// observed, the two agree.
+Netlist withAllScanCells(Netlist nl) {
+  for (GateId dff : nl.dffs()) nl.setFlag(dff, kFlagScanCell);
+  return nl;
+}
+
+/// Row of fault `f` over the first `n_patterns` patterns of `st`, one
+/// 64-pattern word at a time. Frame 0 evaluates the loaded sources.
+/// Capture pulse j compares the next state of every observed stage-j
+/// flop between the good and the faulty machine, then loads those flops
+/// from their own machine's next state and re-evaluates both.
+std::vector<uint64_t> stagedReferenceRow(
+    const Netlist& nl, const Stimulus& st, int64_t n_patterns,
+    const fault::Fault& f, std::span<const std::vector<GateId>> stages,
+    const std::vector<uint8_t>& observed) {
+  Netlist bad_nl = nl;
+  fault::injectStuckAt(bad_nl, f);
+  sim::Simulator2v good(nl);
+  sim::Simulator2v bad(bad_nl);
+  const size_t n_words = static_cast<size_t>(n_patterns + 63) / 64;
+  std::vector<uint64_t> row(n_words, 0);
+  std::vector<uint64_t> good_next;
+  std::vector<uint64_t> bad_next;
+  for (size_t wi = 0; wi < n_words; ++wi) {
+    for (size_t k = 0; k < st.sources.size(); ++k) {
+      good.setSource(st.sources[k], st.words[k][wi]);
+      bad.setSource(st.sources[k], st.words[k][wi]);
+    }
+    good.eval();
+    bad.eval();
+    uint64_t detect = 0;
+    for (const std::vector<GateId>& stage : stages) {
+      good_next.clear();
+      bad_next.clear();
+      for (GateId ff : stage) {
+        good_next.push_back(good.dffNextState(ff));
+        bad_next.push_back(bad.dffNextState(ff));
+        if (observed[nl.gate(ff).fanins[0].v] != 0) {
+          detect |= good_next.back() ^ bad_next.back();
+        }
+      }
+      for (size_t k = 0; k < stage.size(); ++k) {
+        good.setSource(stage[k], good_next[k]);
+        bad.setSource(stage[k], bad_next[k]);
+      }
+      good.eval();
+      bad.eval();
+    }
+    const int64_t lanes = std::min<int64_t>(64, n_patterns - wi * 64);
+    row[wi] = detect & (lanes == 64 ? ~uint64_t{0}
+                                    : (uint64_t{1} << lanes) - 1);
+  }
+  return row;
+}
+
+TEST(LaneDifferential, StagedCaptureMatchesTheFrameByFrameReference) {
+  gen::IpCoreSpec spec;
+  spec.seed = 17;
+  spec.target_comb_gates = 360;
+  spec.target_ffs = 36;
+  spec.num_inputs = 10;
+  spec.num_outputs = 8;
+  spec.num_domains = 3;
+  spec.cross_domain_fraction = 0.2;  // plenty of cross-stage hops
+  spec.num_xsources = 0;
+  spec.num_noscan_ffs = 0;
+  const int64_t n_patterns = 500;  // ends in a partial block at W = 1, 8
+
+  for (const Netlist& nl : {withAllScanCells(gen::buildTwoDomainPipe(16)),
+                            withAllScanCells(gen::generateIpCore(spec))}) {
+    std::vector<std::vector<GateId>> stages(nl.numDomains());
+    for (GateId dff : nl.dffs()) {
+      stages[nl.gate(dff).domain.v].push_back(dff);
+    }
+    std::vector<uint8_t> observed(nl.numGates(), 0);
+    for (GateId o : fault::fullObservationSet(nl)) observed[o.v] = 1;
+
+    CampaignConfig cfg;
+    cfg.drop = false;
+    cfg.staged = true;
+    cfg.list.collapse = false;  // keeps the D-pin faults of every flop
+    const FaultList faults = FaultList::enumerateStuckAt(nl, cfg.list);
+    size_t d_pin = 0;
+    size_t q_out = 0;
+    for (const fault::FaultRecord& r : faults.records()) {
+      if (nl.gate(r.fault.gate).kind != CellKind::kDff) continue;
+      if (r.fault.pin == fault::kOutputPin) {
+        ++q_out;
+      } else {
+        ++d_pin;
+      }
+    }
+    ASSERT_GT(d_pin, 0u) << nl.name();
+    ASSERT_GT(q_out, 0u) << nl.name();
+
+    const Stimulus st = makeStimulus(nl, 8, 77);
+    std::vector<std::vector<uint64_t>> want;
+    size_t detected = 0;
+    for (const fault::FaultRecord& r : faults.records()) {
+      want.push_back(stagedReferenceRow(nl, st, n_patterns, r.fault,
+                                        stages, observed));
+      if (std::any_of(want.back().begin(), want.back().end(),
+                      [](uint64_t w) { return w != 0; })) {
+        ++detected;
+      }
+    }
+    ASSERT_GT(detected, faults.size() / 2) << nl.name();
+
+    for (const uint32_t W : {1u, 8u}) {
+      cfg.lane_words = W;
+      const CampaignState got = runLaneCampaign(nl, st, n_patterns, cfg);
+      for (size_t i = 0; i < faults.size(); ++i) {
+        ASSERT_EQ(got.rows[i], want[i])
+            << nl.name() << " W=" << W << " fault " << i << " ("
+            << faults.describe(nl, i) << ")";
+      }
     }
   }
 }
