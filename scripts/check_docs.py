@@ -8,10 +8,10 @@ parser, so the failure modes are predictable):
    tracked *.md file must exist (anchors are stripped; absolute URLs and
    mailto links are ignored).
 
-2. Header doc comments: in the public headers under src/atpg, src/diag,
-   src/obs, src/robust, src/sim and src/soc, every public declaration — function
-   declarations and type definitions at namespace or public-class scope —
-   must be immediately preceded by a comment line. This keeps the `///`
+2. Header doc comments: in the public headers under the DOC_HEADER_DIRS
+   below, every public declaration — function declarations and type
+   definitions at namespace or public-class scope — must be immediately
+   preceded by a comment line. This keeps the `///`
    contract lines the doc passes added from silently rotting as the
    headers evolve.
 
@@ -23,8 +23,8 @@ import re
 import sys
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-DOC_HEADER_DIRS = ["src/atpg", "src/diag", "src/fault", "src/obs", "src/robust",
-                   "src/sim", "src/soc"]
+DOC_HEADER_DIRS = ["src/atpg", "src/core", "src/diag", "src/fault", "src/obs",
+                   "src/robust", "src/sim", "src/soc"]
 
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 

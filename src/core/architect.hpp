@@ -25,12 +25,15 @@
 
 namespace lbist::core {
 
+/// How test points are chosen (step 2 of the flow).
 enum class TpiMethod : uint8_t {
   kFaultSim,  // the paper's method
   kCop,       // prior-art baseline
   kNone,
 };
 
+/// Knobs of the architect flow: scan chain budget, test points, PRPG and
+/// MISR sizing, IO wrapping and the at-speed timing plan.
 struct LbistConfig {
   int num_chains = 16;
   size_t test_points = 64;
@@ -54,6 +57,9 @@ struct DomainBist {
   std::vector<size_t> chain_indices;  // into BistReadyCore::scan.chains
 };
 
+/// The architect's output: the DFT-inserted netlist with its scan
+/// fabric, X-bounding record, per-domain PRPG/MISR sizing and the
+/// area accounting for Table 1.
 struct BistReadyCore {
   Netlist netlist;
   dft::ScanResult scan;

@@ -21,12 +21,17 @@
 
 namespace lbist::core {
 
+/// Outcome of CoverageFlow::runRandomPhase: patterns simulated, the
+/// coverage they reached and the wall time spent.
 struct RandomPhaseResult {
   int64_t patterns = 0;
   fault::Coverage coverage;
   double wall_seconds = 0.0;
 };
 
+/// The fast coverage flow of the file comment for one BIST-ready core:
+/// one fault list, one fault simulator fed by a PrpgPatternSource, and
+/// top-up ATPG over what the random phase leaves.
 class CoverageFlow {
  public:
   /// `transition` switches the fault universe to launch-on-capture
@@ -47,16 +52,22 @@ class CoverageFlow {
   /// Deterministic top-up targeting everything still undetected.
   atpg::TopUpResult runTopUp(const atpg::TopUpConfig& cfg = {});
 
+  /// The flow's fault list (statuses update as the phases run).
   [[nodiscard]] fault::FaultList& faults() { return faults_; }
+  /// Read-only view of the flow's fault list.
   [[nodiscard]] const fault::FaultList& faults() const { return faults_; }
   /// Structural-collapsing summary of the flow's fault simulator (for
   /// core::renderCollapseStats report lines).
   [[nodiscard]] const fault::CollapseStats& collapseStats() const {
     return fsim_.collapseStats();
   }
+  /// The observation set the fault simulator detects at
+  /// (fault::defaultObservationSet of the core's netlist).
   [[nodiscard]] const std::vector<GateId>& observed() const {
     return observed_;
   }
+  /// The sources top-up ATPG may assign: the scan cells, plus the
+  /// non-control primary inputs when IOs are not wrapped.
   [[nodiscard]] const std::vector<GateId>& assignable() const {
     return assignable_;
   }

@@ -21,6 +21,8 @@
 
 namespace lbist::core {
 
+/// The BISTed core behind its Boundary-Scan TAP, driven as the file
+/// comment describes.
 class LbistTop {
  public:
   static constexpr uint32_t kIrLength = 4;
@@ -36,8 +38,11 @@ class LbistTop {
   /// finish=1).
   static constexpr size_t kCtrlBits = 33;
 
+  /// Binds the BIST-ready core and the die to self-test: `core.netlist`
+  /// for a good die, an injected copy for a defective one.
   LbistTop(const BistReadyCore& core, const Netlist& die);
 
+  /// The TAP a host drives (instruction and data register scans).
   [[nodiscard]] jtag::TapController& tap() { return tap_; }
 
   /// Golden signatures for the on-chip compare (from a fault-free run).
@@ -45,6 +50,7 @@ class LbistTop {
     golden_ = std::move(sigs);
   }
 
+  /// The last self-test's session result (empty before the first run).
   [[nodiscard]] const std::optional<SessionResult>& lastRun() const {
     return last_;
   }

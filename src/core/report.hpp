@@ -14,6 +14,7 @@
 
 namespace lbist::core {
 
+/// One core's column of Table 1, one field per printed row.
 struct Table1Column {
   std::string core_name;
   size_t gate_count = 0;   // original core cells (pre-DFT)
@@ -35,6 +36,9 @@ struct Table1Column {
   double fault_coverage_2 = 0.0;
 };
 
+/// Assembles a core's Table 1 column from its pre-DFT statistics, the
+/// BIST-ready core, the random and top-up phase results and the total
+/// CPU time.
 [[nodiscard]] Table1Column buildTable1Column(
     const NetlistStats& original_stats, const BistReadyCore& core,
     const RandomPhaseResult& random_phase, const atpg::TopUpResult& topup,

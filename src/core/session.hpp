@@ -52,6 +52,7 @@ struct SignatureCheckpoint {
   /// Per DomainBist, the MISR signature words (WideMisr segment order).
   std::vector<std::vector<uint64_t>> domain_words;
 
+  /// Equal when both the pattern count and every MISR word match.
   friend bool operator==(const SignatureCheckpoint& a,
                          const SignatureCheckpoint& b) {
     return a.patterns_done == b.patterns_done &&
@@ -59,6 +60,8 @@ struct SignatureCheckpoint {
   }
 };
 
+/// What one BistSession::run produced: per-domain signatures, interval
+/// checkpoints, pulse counts and the controller's verdict.
 struct SessionResult {
   std::vector<std::string> signatures;  // per DomainBist, hex
   /// Final MISR words per DomainBist (same data as `signatures`, in the
@@ -75,6 +78,8 @@ struct SessionResult {
   bool result_pass = false;
 };
 
+/// The cycle-accurate self-test run of the file comment, bound to one
+/// BIST-ready core and one die.
 class BistSession {
  public:
   /// `die` is the netlist to simulate — pass `core.netlist` for a good

@@ -19,6 +19,7 @@
 
 namespace lbist::core {
 
+/// The persistent shard-parallel worker pool of the file comment.
 class ThreadPool {
  public:
   /// `threads` is the total parallelism including the caller; the pool
