@@ -22,25 +22,6 @@ uint64_t formTimes(uint64_t form, const bist::Gf2Matrix& a) {
   return out;
 }
 
-/// One source-application path for every sink exposing
-/// setSource(GateId, uint64_t) + setSourceRow(GateId, const uint64_t*)
-/// — the overloads below must never drift. Constant-across-lanes pins
-/// (PIs, fixed control) broadcast; scan cells copy their stride-W rows.
-template <typename Sink>
-void applySources(const BistReadyCore& core, size_t lane_words,
-                  const std::vector<uint64_t>& cell_words,
-                  const std::vector<std::pair<GateId, bool>>& fixed,
-                  Sink& sink) {
-  const Netlist& nl = core.netlist;
-  for (GateId pi : nl.inputs()) sink.setSource(pi, 0);
-  for (GateId dff : nl.dffs()) {
-    sink.setSourceRow(dff, cell_words.data() + size_t{dff.v} * lane_words);
-  }
-  for (const auto& [id, v] : fixed) {
-    sink.setSource(id, v ? ~uint64_t{0} : 0);
-  }
-}
-
 }  // namespace
 
 PrpgPatternSource::PrpgPatternSource(const BistReadyCore& core,
@@ -54,7 +35,6 @@ PrpgPatternSource::PrpgPatternSource(const BistReadyCore& core,
     const bist::Prpg prpg(db.prpg);
     const bist::Gf2Matrix a = prpg.lfsr().transitionMatrix();
     DomainModel& dm = domains_.emplace_back();
-    dm.length = prpg.lfsr().length();
     dm.state = prpg.lfsr().state();
     dm.pattern_step = a.pow(static_cast<uint64_t>(shift_cycles));
     for (size_t c = 0; c < db.chain_indices.size(); ++c) {
@@ -97,7 +77,7 @@ void PrpgPatternSource::computeCellWords(int lanes) {
 
   // Only scan cells are ever written, so every other row stays zero.
   for (DomainModel& dm : domains_) {
-    state_words_.assign(static_cast<size_t>(dm.length) * w, 0);
+    state_words_.assign(static_cast<size_t>(dm.pattern_step.dim()) * w, 0);
     for (int lane = 0; lane < lanes; ++lane) {
       const size_t word = static_cast<size_t>(lane) / 64;
       const uint64_t bit = uint64_t{1} << (lane % 64);
@@ -118,6 +98,29 @@ void PrpgPatternSource::computeCellWords(int lanes) {
     }
   }
 }
+
+namespace {
+
+/// One source-application path for every sink exposing
+/// setSource(GateId, uint64_t) + setSourceRow(GateId, const uint64_t*)
+/// — the overloads below must never drift. Constant-across-lanes pins
+/// (PIs, fixed control) broadcast; scan cells copy their stride-W rows.
+template <typename Sink>
+void applySources(const BistReadyCore& core, size_t lane_words,
+                  const std::vector<uint64_t>& cell_words,
+                  const std::vector<std::pair<GateId, bool>>& fixed,
+                  Sink& sink) {
+  const Netlist& nl = core.netlist;
+  for (GateId pi : nl.inputs()) sink.setSource(pi, 0);
+  for (GateId dff : nl.dffs()) {
+    sink.setSourceRow(dff, cell_words.data() + size_t{dff.v} * lane_words);
+  }
+  for (const auto& [id, v] : fixed) {
+    sink.setSource(id, v ? ~uint64_t{0} : 0);
+  }
+}
+
+}  // namespace
 
 void PrpgPatternSource::loadBlock(fault::FaultSimulator& fsim, int lanes) {
   assert(fsim.laneWords() == lane_words_ &&

@@ -67,8 +67,6 @@ class PrpgPatternSource {
  private:
   /// One clock domain's PRPG as a linear map of its LFSR state.
   struct DomainModel {
-    /// LFSR bits.
-    int length = 0;
     /// LFSR state at the next pattern's first shift cycle.
     uint64_t state = 0;
     /// A^shift_cycles: the state one pattern later.
