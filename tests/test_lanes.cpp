@@ -8,7 +8,8 @@
 // stimulus regardless of how many lanes each block packs), while
 // detect_count at drop time may legally differ because wider blocks
 // merge more patterns before the drop decision. The mask reference is a
-// brute-force per-fault full resimulation, one 64-lane word at a time.
+// brute-force per-fault full resimulation, one 64-lane word at a time;
+// staged capture rows have a frame-by-frame reference of their own.
 #include <gtest/gtest.h>
 
 #include <algorithm>
