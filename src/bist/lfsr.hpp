@@ -142,6 +142,9 @@ class WideMisr {
 
   [[nodiscard]] std::vector<uint64_t> signatureWords() const;
   [[nodiscard]] std::string signatureHex() const;
+  /// signatureHex() of a WideMisr holding `words`: 16 hex digits per
+  /// segment word, joined by '_'.
+  [[nodiscard]] static std::string hex(std::span<const uint64_t> words);
 
   friend bool operator==(const WideMisr& a, const WideMisr& b) {
     return a.length_ == b.length_ &&

@@ -1,5 +1,6 @@
 #include "bist/prpg.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace lbist::bist {
@@ -12,6 +13,25 @@ int shifterChannels(const PrpgConfig& cfg) {
     throw std::invalid_argument("ps_channels must be in [1, chains]");
   }
   return cfg.ps_channels;
+}
+
+/// MISR inputs an ODC of `cfg` feeds: the compactor's outputs, or one
+/// per chain without it. Throws on configurations Odc rejects.
+int odcMisrInputs(const OdcConfig& cfg) {
+  if (cfg.misr_length < 2) {
+    throw std::out_of_range("WideMisr length must be >= 2");
+  }
+  if (cfg.chains <= 0) {
+    throw std::invalid_argument("Odc needs >= 1 chain");
+  }
+  if (cfg.use_compactor) return std::min(cfg.misr_length, cfg.chains);
+  if (cfg.misr_length < cfg.chains) {
+    throw std::invalid_argument(
+        "without a space compactor the MISR must be at least as long as "
+        "the chain count (this is why the paper's Core X uses a 99-bit "
+        "MISR)");
+  }
+  return cfg.chains;
 }
 
 }  // namespace
@@ -69,19 +89,10 @@ double Prpg::gateEquivalents() const {
 }
 
 Odc::Odc(const OdcConfig& cfg) : cfg_(cfg), misr_(cfg.misr_length) {
-  if (cfg_.chains <= 0) {
-    throw std::invalid_argument("Odc needs >= 1 chain");
-  }
+  const int inputs = odcMisrInputs(cfg_);
   if (cfg_.use_compactor) {
-    compactor_.emplace(cfg_.chains, cfg_.misr_length < cfg_.chains
-                                        ? cfg_.misr_length
-                                        : cfg_.chains);
-    misr_in_.resize(static_cast<size_t>(compactor_->misrInputs()));
-  } else if (cfg_.misr_length < cfg_.chains) {
-    throw std::invalid_argument(
-        "without a space compactor the MISR must be at least as long as "
-        "the chain count (this is why the paper's Core X uses a 99-bit "
-        "MISR)");
+    compactor_.emplace(cfg_.chains, inputs);
+    misr_in_.resize(static_cast<size_t>(inputs));
   }
 }
 
@@ -102,6 +113,63 @@ double Odc::gateEquivalents() const {
   if (compactor_) ge += 2.5 * static_cast<double>(compactor_->xorCount());
   return ge;
 }
+
+LaneOdc::LaneOdc(const OdcConfig& cfg)
+    : cfg_(cfg),
+      misr_inputs_(odcMisrInputs(cfg)),
+      segments_(WideMisr::segmentLengths(cfg.misr_length)),
+      cells_(static_cast<size_t>(cfg.misr_length), 0),
+      misr_in_(static_cast<size_t>(cfg.misr_length), 0) {
+  // Galois feedback, as Misr::step: the top cell of a segment XORs into
+  // every cell its polynomial's low mask taps.
+  feedback_.reserve(cells_.size());
+  for (int len : segments_) {
+    const uint64_t taps = polynomialLowMask(len);
+    for (int i = 0; i < len; ++i) {
+      feedback_.push_back(((taps >> i) & 1u) != 0 ? ~uint64_t{0} : 0);
+    }
+  }
+}
+
+void LaneOdc::compact(std::span<const uint64_t> chain_out) {
+  if (chain_out.size() != static_cast<size_t>(cfg_.chains)) {
+    throw std::invalid_argument("chain_out size != chains");
+  }
+  // Input cell i takes the XOR of chains {j : j % misr_inputs == i},
+  // which without a compactor is chain i alone.
+  std::fill(misr_in_.begin(), misr_in_.end(), 0);
+  for (size_t j = 0; j < chain_out.size(); ++j) {
+    misr_in_[j % static_cast<size_t>(misr_inputs_)] ^= chain_out[j];
+  }
+  uint64_t* c = cells_.data();
+  const uint64_t* fb = feedback_.data();
+  const uint64_t* in = misr_in_.data();
+  for (int len : segments_) {
+    const uint64_t top = c[len - 1];
+    for (int i = len - 1; i > 0; --i) {
+      c[i] = c[i - 1] ^ (top & fb[i]) ^ in[i];
+    }
+    c[0] = (top & fb[0]) ^ in[0];
+    c += len;
+    fb += len;
+    in += len;
+  }
+}
+
+std::vector<uint64_t> LaneOdc::signature(int lane) const {
+  std::vector<uint64_t> words;
+  words.reserve(segments_.size());
+  const uint64_t* c = cells_.data();
+  for (int len : segments_) {
+    uint64_t w = 0;
+    for (int i = 0; i < len; ++i) w |= ((c[i] >> lane) & 1u) << i;
+    words.push_back(w);
+    c += len;
+  }
+  return words;
+}
+
+void LaneOdc::reset() { std::fill(cells_.begin(), cells_.end(), 0); }
 
 void InputSelector::setExternalSlice(std::span<const uint8_t> bits) {
   if (bits.size() != external_.size()) {

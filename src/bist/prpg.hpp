@@ -99,6 +99,37 @@ class Odc {
   std::vector<uint8_t> misr_in_;
 };
 
+/// Lane-sliced counterpart of Odc for parallel-fault session replay: 64
+/// machines compact at once, with one 64-lane word per MISR cell and
+/// per scan-out, so the space compactor is word XORs and a MISR step is
+/// one pass over the cells. Lane k's signature() is exactly what a
+/// scalar Odc fed lane k's bits holds.
+class LaneOdc {
+ public:
+  /// Same configuration, and the same errors, as Odc.
+  explicit LaneOdc(const OdcConfig& cfg);
+
+  /// Compacts one shift-cycle slice: chain_out[c] holds chain c's
+  /// scan-out bit in every lane (size == chains()).
+  void compact(std::span<const uint64_t> chain_out);
+
+  /// Odc::signature() of lane `lane` (0..63).
+  [[nodiscard]] std::vector<uint64_t> signature(int lane) const;
+  /// Clears every lane's MISR.
+  void reset();
+
+  /// Scan chains compacted per slice.
+  [[nodiscard]] int chains() const { return cfg_.chains; }
+
+ private:
+  OdcConfig cfg_;
+  int misr_inputs_ = 0;             // compactor outputs (chains without)
+  std::vector<int> segments_;       // WideMisr::segmentLengths
+  std::vector<uint64_t> cells_;     // one lane word per MISR cell
+  std::vector<uint64_t> feedback_;  // per cell: all-ones if tapped
+  std::vector<uint64_t> misr_in_;   // per cell: this slice's input
+};
+
 /// Input selector (paper Fig. 1): chooses between the PRPG stream and an
 /// externally supplied deterministic (top-up ATPG) stream per chain.
 class InputSelector {

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
+#include "bist/lfsr.hpp"
 #include "obs/obs.hpp"
 
 namespace lbist::core {
@@ -20,10 +22,10 @@ BistSession::BistSession(const BistReadyCore& core, const Netlist& die)
     prpgs_.emplace_back(db.prpg);
     odcs_.emplace_back(db.odc);
     slice_.emplace_back(db.chain_indices.size(), 0);
-    so_slice_.emplace_back(db.chain_indices.size(), 0);
+    so_words_.emplace_back(db.chain_indices.size(), 0);
   }
   holdInputs();
-  buildShiftProgram();
+  die_program_ = buildShiftProgram();
 }
 
 void BistSession::holdInputs() {
@@ -36,10 +38,25 @@ void BistSession::holdInputs() {
   }
 }
 
-void BistSession::buildShiftProgram() {
+BistSession::ShiftProgram BistSession::buildShiftProgram() const {
   using sim::kX3;
   const Netlist& nl = *die_;
   const sim::CompiledNetlist& cn = sim_.compiled();
+  ShiftProgram program;
+
+  // Gates a force acts on differ between lanes, so they count as X.
+  const std::vector<GateId> forced_gates = sim_.forcedGates();
+  std::vector<uint8_t> forced(nl.numGates(), 0);
+  for (GateId g : forced_gates) forced[g.v] = 1;
+  const auto eval3 = [&](std::vector<uint8_t>& vals) {
+    if (forced_gates.empty()) return cn.eval3(vals.data());
+    for (uint32_t op = 0; op < cn.numOps(); ++op) {
+      const uint32_t g = cn.opGate(op);
+      vals[g] = forced[g] != 0 ? kX3 : cn.evalOp3(op, [&](size_t, uint32_t f) {
+        return vals[f];
+      });
+    }
+  };
 
   // Session-constant gates. Every source but the flops, the SI ports and
   // SE keeps the value holdInputs() (or construction) gave it for the
@@ -53,14 +70,17 @@ void BistSession::buildShiftProgram() {
   });
   held[core_->scan.se_port.v] = kX3;
   for (const dft::ScanChain& c : core_->scan.chains) held[c.si_port.v] = kX3;
-  cn.eval3(held.data());
+  eval3(held);
   // Shift mode: the same with SE = 1.
   std::vector<uint8_t> shift = held;
   shift[core_->scan.se_port.v] = 1;
-  cn.eval3(shift.data());
-  // The select of a MUX in `vals`, or kX3 for any other gate.
-  const auto select = [&](const Gate& g, const std::vector<uint8_t>& vals) {
-    return g.kind == CellKind::kMux2 ? vals[g.fanins[2].v] : kX3;
+  eval3(shift);
+  // The select of an unforced MUX in `vals`, or kX3 for any other gate.
+  const auto select = [&](GateId id, const std::vector<uint8_t>& vals) {
+    const Gate& g = nl.gate(id);
+    return g.kind == CellKind::kMux2 && forced[id.v] == 0
+               ? vals[g.fanins[2].v]
+               : kX3;
   };
 
   // Live flops: those whose state can reach a MISR. Walk back from the
@@ -84,7 +104,7 @@ void BistSession::buildShiftProgram() {
     stack.pop_back();
     const Gate& g = nl.gate(id);
     if (g.kind == CellKind::kDff) live.push_back(id);
-    if (const uint8_t sel = select(g, held); sel != kX3) {
+    if (const uint8_t sel = select(id, held); sel != kX3) {
       visit(g.fanins[sel]);
     } else {
       for (GateId f : g.fanins) visit(f);
@@ -93,10 +113,10 @@ void BistSession::buildShiftProgram() {
   std::sort(live.begin(), live.end());
 
   // Shift program: the ops in the live flops' D cones with SE = 1. A
-  // flop loads through every MUX whose select is known in shift mode, so
-  // on an intact die each scan cell loads its scan predecessor and the
-  // program is empty. The cones stop at session-constant gates, which
-  // already hold their values.
+  // flop loads through every unforced MUX whose select is known in shift
+  // mode, so on an intact die each scan cell loads its scan predecessor
+  // and the program is empty. The cones stop at session-constant gates,
+  // which already hold their values.
   std::fill(seen.begin(), seen.end(), 0);
   const auto need = [&](GateId g) {
     if (seen[g.v] == 0 && held[g.v] == kX3 &&
@@ -107,19 +127,20 @@ void BistSession::buildShiftProgram() {
   };
   for (GateId dff : live) {
     GateId from = nl.gate(dff).fanins[0];
-    while (select(nl.gate(from), shift) != kX3) {
-      from = nl.gate(from).fanins[select(nl.gate(from), shift)];
+    for (uint8_t sel; (sel = select(from, shift)) != kX3;) {
+      from = nl.gate(from).fanins[sel];
     }
-    shift_loads_.push_back({dff, from});
+    program.loads.push_back({dff, from});
     need(from);
     while (!stack.empty()) {
       const GateId id = stack.back();
       stack.pop_back();
-      shift_ops_.push_back(cn.opOf(id));
+      program.ops.push_back(cn.opOf(id));
       for (GateId f : nl.gate(id).fanins) need(f);
     }
   }
-  std::sort(shift_ops_.begin(), shift_ops_.end());
+  std::sort(program.ops.begin(), program.ops.end());
+  return program;
 }
 
 void BistSession::seedPrpgs() {
@@ -129,7 +150,7 @@ void BistSession::seedPrpgs() {
   }
 }
 
-void BistSession::shiftCycle() {
+void BistSession::shiftCycle(const ShiftProgram& program) {
   // PRPG outputs feed the SI ports; MISRs compact the SO values present
   // before the edge; then one shift edge clocks every domain, the PRPGs
   // and the MISRs together (they share the slow shift clock).
@@ -138,10 +159,9 @@ void BistSession::shiftCycle() {
     for (size_t c = 0; c < db.chain_indices.size(); ++c) {
       const dft::ScanChain& chain =
           core_->scan.chains[db.chain_indices[c]];
-      so_slice_[i][c] =
-          static_cast<uint8_t>(sim_.state(chain.so_driver) & 1u);
+      so_words_[i][c] = sim_.state(chain.so_driver);
     }
-    odcs_[i].compact(so_slice_[i]);
+    odcs_[i].compact(so_words_[i]);
     prpgs_[i].nextSlice(slice_[i]);
     for (size_t c = 0; c < db.chain_indices.size(); ++c) {
       const dft::ScanChain& chain =
@@ -149,13 +169,38 @@ void BistSession::shiftCycle() {
       sim_.setInput(chain.si_port, slice_[i][c] != 0 ? ~uint64_t{0} : 0);
     }
   }
-  sim_.pulseOps(shift_ops_, shift_loads_);
+  sim_.pulseOps(program.ops, program.loads);
 }
 
 SessionResult BistSession::run(const SessionOptions& opts,
                                const SessionResult* golden) {
+  return std::move(run(opts, {}, golden).front());
+}
+
+std::vector<SessionResult> BistSession::run(
+    const SessionOptions& opts, std::span<const fault::Fault> faults,
+    const SessionResult* golden) {
   OBS_SPAN("session.run");
-  SessionResult res;
+  if (faults.size() > kMaxFaults) {
+    throw std::invalid_argument("BistSession::run: more than 63 faults");
+  }
+  std::vector<sim::SeqSimulator::Force> forces;
+  for (size_t k = 0; k < faults.size(); ++k) {
+    const fault::Fault& f = faults[k];
+    if (f.type != fault::FaultType::kStuckAt0 &&
+        f.type != fault::FaultType::kStuckAt1) {
+      throw std::invalid_argument(
+          "BistSession::run: only stuck-at faults can be forced");
+    }
+    forces.push_back({f.gate, f.pin, f.type == fault::FaultType::kStuckAt1,
+                      uint64_t{1} << (k + 1)});
+  }
+  sim_.setForces(forces);
+  const ShiftProgram pass_program =
+      faults.empty() ? ShiftProgram{} : buildShiftProgram();
+  const ShiftProgram& program = faults.empty() ? die_program_ : pass_program;
+  const size_t lanes = faults.size() + 1;
+  std::vector<SessionResult> results(lanes);
 
   // Reset: known state everywhere (hardware gets this from the first full
   // shift window; starting from zero keeps the golden run reproducible).
@@ -178,21 +223,26 @@ SessionResult BistSession::run(const SessionOptions& opts,
                            opts.patterns);
 
   auto snapshot = [&]() {
-    SignatureCheckpoint cp;
-    cp.patterns_done = ctrl.patternsDone();
-    for (bist::Odc& odc : odcs_) cp.domain_words.push_back(odc.signature());
-    res.checkpoints.push_back(std::move(cp));
+    for (size_t lane = 0; lane < lanes; ++lane) {
+      SignatureCheckpoint cp;
+      cp.patterns_done = ctrl.patternsDone();
+      for (const bist::LaneOdc& odc : odcs_) {
+        cp.domain_words.push_back(odc.signature(static_cast<int>(lane)));
+      }
+      results[lane].checkpoints.push_back(std::move(cp));
+    }
   };
 
   uint64_t shifts = 0;
   uint64_t captures = 0;
+  uint64_t session_ps = 0;
   while (auto ev = sched.next()) {
     ctrl.onEvent(*ev);
     if (ctrl.checkpointDue()) snapshot();
     switch (ev->kind) {
       case bist::ScheduleEvent::Kind::kShiftPulse:
         sim_.setInput(core_->scan.se_port, ~uint64_t{0});
-        shiftCycle();
+        shiftCycle(program);
         ++shifts;
         break;
       case bist::ScheduleEvent::Kind::kSeFall:
@@ -209,41 +259,36 @@ SessionResult BistSession::run(const SessionOptions& opts,
       case bist::ScheduleEvent::Kind::kPatternEnd:
         break;
       case bist::ScheduleEvent::Kind::kSessionEnd:
-        res.session_ps = ev->time_ps;
+        session_ps = ev->time_ps;
         break;
     }
   }
 
   // Final unload: shift the last captured responses into the MISRs.
   sim_.setInput(core_->scan.se_port, ~uint64_t{0});
-  for (int s = 0; s < shift_cycles; ++s) shiftCycle();
+  for (int s = 0; s < shift_cycles; ++s) shiftCycle(program);
   shifts += static_cast<uint64_t>(shift_cycles);
+  OBS_COUNT("session.passes", 1);
   OBS_COUNT("session.pulses", shifts + captures);
-  OBS_COUNT("session.ops", shifts * shift_ops_.size() +
+  OBS_COUNT("session.ops", shifts * program.ops.size() +
                                captures * sim_.compiled().numOps());
 
-  res.patterns_done = ctrl.patternsDone();
-  res.shift_pulses = ctrl.shiftPulses();
-  res.capture_pulses = ctrl.capturePulses();
-  for (bist::Odc& odc : odcs_) {
-    res.signatures.push_back(odc.signatureHex());
-    res.signature_words.push_back(odc.signature());
-  }
-
-  bool match = golden != nullptr;
-  if (golden != nullptr) {
-    if (golden->signatures.size() != res.signatures.size()) {
-      match = false;
-    } else {
-      for (size_t i = 0; i < res.signatures.size(); ++i) {
-        if (res.signatures[i] != golden->signatures[i]) match = false;
-      }
+  for (size_t lane = 0; lane < lanes; ++lane) {
+    SessionResult& res = results[lane];
+    res.patterns_done = ctrl.patternsDone();
+    res.shift_pulses = ctrl.shiftPulses();
+    res.capture_pulses = ctrl.capturePulses();
+    res.session_ps = session_ps;
+    for (const bist::LaneOdc& odc : odcs_) {
+      res.signature_words.push_back(odc.signature(static_cast<int>(lane)));
+      res.signatures.push_back(bist::WideMisr::hex(res.signature_words.back()));
     }
+    ctrl.setSignatureMatch(golden != nullptr &&
+                           res.signatures == golden->signatures);
+    res.finish = ctrl.finish();
+    res.result_pass = ctrl.result();
   }
-  ctrl.setSignatureMatch(match);
-  res.finish = ctrl.finish();
-  res.result_pass = ctrl.result();
-  return res;
+  return results;
 }
 
 }  // namespace lbist::core

@@ -8,13 +8,12 @@
 #include <stdexcept>
 
 #include "bist/lfsr.hpp"
-#include "fault/inject.hpp"
 
 namespace lbist::diag {
 
 namespace {
 
-// Top-ranked candidates confirmed by injected session replay.
+// Top-ranked candidates confirmed by one lane-pass session replay.
 constexpr size_t kConfirmTop = 10;
 
 std::vector<uint64_t> xorWords(const std::vector<uint64_t>& a,
@@ -110,8 +109,14 @@ core::SessionOptions Diagnoser::sessionOptions() const {
 
 core::SessionResult Diagnoser::runSession(const Netlist& die,
                                           const core::SessionOptions& o) {
+  if (&die == &core_->netlist) return coreSession().run(o);
   core::BistSession session(*core_, die);
   return session.run(o);
+}
+
+core::BistSession& Diagnoser::coreSession() {
+  if (!core_session_) core_session_.emplace(*core_, core_->netlist);
+  return *core_session_;
 }
 
 const core::SessionResult& Diagnoser::goldenRun() {
@@ -335,20 +340,29 @@ void Diagnoser::matchSyndrome(const Syndrome& syndrome, Diagnosis& out) {
 void Diagnoser::confirmCandidates(const core::SessionResult& observed,
                                   Diagnosis& out) {
   if (opts_.transition) return;  // transition faults cannot be hardwired
+  // One lane pass over the core replays every stuck-at candidate; each
+  // lane counts as one session run, the machine it replaces.
   const size_t n = std::min(kConfirmTop, out.candidates.size());
-  const core::SessionOptions o = sessionOptions();
+  std::vector<size_t> ranks;
+  std::vector<fault::Fault> faults;
   for (size_t k = 0; k < n; ++k) {
-    Candidate& c = out.candidates[k];
-    Netlist die = core_->netlist;
-    try {
-      fault::injectStuckAt(die, c.fault);
-    } catch (const std::invalid_argument&) {
-      continue;  // un-injectable site (e.g. X-source cone)
+    const fault::Fault& f = out.candidates[k].fault;
+    if (f.type == fault::FaultType::kStuckAt0 ||
+        f.type == fault::FaultType::kStuckAt1) {
+      ranks.push_back(k);
+      faults.push_back(f);
     }
-    const core::SessionResult replay = runSession(die, o);
-    ++out.session_runs;
-    c.confirmed = replay.signature_words == observed.signature_words &&
-                  replay.checkpoints == observed.checkpoints;
+  }
+  if (!faults.empty()) {
+    const std::vector<core::SessionResult> lanes =
+        coreSession().run(sessionOptions(), faults);
+    out.session_runs += faults.size();
+    for (size_t i = 0; i < ranks.size(); ++i) {
+      const core::SessionResult& replay = lanes[i + 1];
+      out.candidates[ranks[i]].confirmed =
+          replay.signature_words == observed.signature_words &&
+          replay.checkpoints == observed.checkpoints;
+    }
   }
   std::stable_sort(out.candidates.begin(), out.candidates.end(),
                    [](const Candidate& a, const Candidate& b) {

@@ -162,6 +162,8 @@ class Diagnoser {
   [[nodiscard]] core::SessionOptions sessionOptions() const;
   [[nodiscard]] core::SessionResult runSession(const Netlist& die,
                                                const core::SessionOptions& o);
+  /// The session over the core's own netlist, built on first use.
+  core::BistSession& coreSession();
   const core::SessionResult& goldenRun();
   [[nodiscard]] Syndrome extractSyndrome(
       const core::SessionResult& golden,
@@ -181,6 +183,8 @@ class Diagnoser {
   std::optional<ResponseDictionary> dict_;
   DictionaryBuildStats dict_stats_;
   std::optional<core::SessionResult> golden_;
+  // Replays the golden machine and the candidates' lane passes.
+  std::optional<core::BistSession> core_session_;
   // Per DomainBist, per gate: 1 if the gate's sequential backward cone
   // reaches that domain's MISR observation set (capture ordering lets
   // fault effects hop domains through freshly captured state, so only

@@ -1,5 +1,9 @@
 #include "sim/seqsim.hpp"
 
+#include <algorithm>
+#include <cassert>
+#include <stdexcept>
+
 namespace lbist::sim {
 
 namespace {
@@ -23,8 +27,129 @@ void SeqSimulator::resetState(uint64_t word) {
   }
 }
 
+void SeqSimulator::setForces(std::span<const Force> forces) {
+  forced_ops_.clear();
+  forced_loads_.clear();
+  if (forces.empty()) return;
+  const Netlist& nl = sim_.netlist();
+  const CompiledNetlist& cn = sim_.compiled();
+
+  // One record per forced stem or pin; folded per gate below.
+  struct Site {
+    GateId gate;
+    uint8_t pin;
+    bool value;
+    uint64_t lanes;
+  };
+  std::vector<Site> sites;
+  // Sources forced at the stem, by gate: every pin reading one is forced.
+  std::vector<Site> sources;
+  for (const Force& f : forces) {
+    const Gate& g = nl.gate(f.gate);
+    if (f.pin != kStem && f.pin >= g.fanins.size()) {
+      throw std::invalid_argument("SeqSimulator::setForces: no such pin");
+    }
+    if (f.pin == kStem && !isCombinational(g.kind)) {
+      sources.push_back({f.gate, f.pin, f.value, f.lanes});
+    } else {
+      sites.push_back({f.gate, f.pin, f.value, f.lanes});
+    }
+  }
+  if (!sources.empty()) {
+    const auto by_gate = [](const Site& a, const Site& b) {
+      return a.gate < b.gate;
+    };
+    std::sort(sources.begin(), sources.end(), by_gate);
+    nl.forEachGate([&](GateId id, const Gate& g) {
+      for (size_t slot = 0; slot < g.fanins.size(); ++slot) {
+        const Site key{g.fanins[slot], kStem, false, 0};
+        for (auto it = std::lower_bound(sources.begin(), sources.end(), key,
+                                        by_gate);
+             it != sources.end() && it->gate == key.gate; ++it) {
+          sites.push_back(
+              {id, static_cast<uint8_t>(slot), it->value, it->lanes});
+        }
+      }
+    });
+  }
+
+  std::stable_sort(sites.begin(), sites.end(),
+                   [](const Site& a, const Site& b) { return a.gate < b.gate; });
+  for (const Site& s : sites) {
+    const Gate& g = nl.gate(s.gate);
+    if (g.kind == CellKind::kDff) {
+      if (forced_loads_.empty() || forced_loads_.back().dff != s.gate) {
+        forced_loads_.push_back({s.gate, g.domain, {}});
+      }
+      forced_loads_.back().d.add(s.lanes, s.value);
+      continue;
+    }
+    if (forced_ops_.empty() ||
+        forced_ops_.back().op != cn.opOf(s.gate)) {
+      forced_ops_.push_back({cn.opOf(s.gate), {}, {}});
+    }
+    ForcedOp& f = forced_ops_.back();
+    if (s.pin == kStem) {
+      f.out.add(s.lanes, s.value);
+      continue;
+    }
+    auto pin = std::find_if(f.pins.begin(), f.pins.end(),
+                            [&](const auto& p) { return p.first == s.pin; });
+    if (pin == f.pins.end()) pin = f.pins.insert(f.pins.end(), {s.pin, {}});
+    pin->second.add(s.lanes, s.value);
+  }
+  // Gate order is not op order: the op stream is level-major.
+  std::sort(forced_ops_.begin(), forced_ops_.end(),
+            [](const ForcedOp& a, const ForcedOp& b) { return a.op < b.op; });
+}
+
+std::vector<GateId> SeqSimulator::forcedGates() const {
+  std::vector<GateId> gates;
+  gates.reserve(forced_ops_.size());
+  for (const ForcedOp& f : forced_ops_) {
+    gates.push_back(GateId{sim_.compiled().opGate(f.op)});
+  }
+  std::sort(gates.begin(), gates.end());
+  return gates;
+}
+
+uint64_t SeqSimulator::evalForcedOp(const ForcedOp& f,
+                                    const uint64_t* v) const {
+  const uint64_t w = sim_.compiled().evalOp(
+      f.op, [&](size_t slot, uint32_t g) {
+        uint64_t x = v[g];
+        for (const auto& [s, c] : f.pins) {
+          if (s == slot) x = c.apply(x);
+        }
+        return x;
+      });
+  return f.out.apply(w);
+}
+
+void SeqSimulator::evalForced() {
+  const CompiledNetlist& cn = sim_.compiled();
+  uint64_t* v = sim_.rawValues().data();
+  const auto plain = [&](size_t, uint32_t g) { return v[g]; };
+  uint32_t op = 0;
+  for (const ForcedOp& f : forced_ops_) {
+    for (; op < f.op; ++op) v[cn.opGate(op)] = cn.evalOp(op, plain);
+    v[cn.opGate(op)] = evalForcedOp(f, v);
+    ++op;
+  }
+  const auto n = static_cast<uint32_t>(cn.numOps());
+  for (; op < n; ++op) v[cn.opGate(op)] = cn.evalOp(op, plain);
+}
+
+void SeqSimulator::settle() {
+  if (forced_ops_.empty()) {
+    sim_.eval();
+  } else {
+    evalForced();
+  }
+}
+
 void SeqSimulator::pulse(std::span<const DomainId> domains) {
-  sim_.eval();
+  settle();
   next_.clear();
   for (DomainId d : domains) {
     for (GateId dff : dffs_by_domain_[d.v]) {
@@ -35,6 +160,13 @@ void SeqSimulator::pulse(std::span<const DomainId> domains) {
   for (DomainId d : domains) {
     for (GateId dff : dffs_by_domain_[d.v]) {
       sim_.setSource(dff, next_[i++]);
+    }
+  }
+  // Every flop of a pulsed domain just loaded its D pin.
+  for (const ForcedLoad& f : forced_loads_) {
+    if (std::find(domains.begin(), domains.end(), f.domain) !=
+        domains.end()) {
+      sim_.setSource(f.dff, f.d.apply(sim_.value(f.dff)));
     }
   }
 }
@@ -52,12 +184,30 @@ void SeqSimulator::pulseOps(std::span<const uint32_t> ops,
                             std::span<const Load> loads) {
   const CompiledNetlist& cn = sim_.compiled();
   uint64_t* v = sim_.rawValues().data();
-  for (uint32_t op : ops) {
-    v[cn.opGate(op)] =
-        cn.evalOp(op, [&](size_t, uint32_t g) { return v[g]; });
-  }
+  const auto plain = [&](size_t, uint32_t g) { return v[g]; };
   next_.resize(loads.size());
-  for (size_t i = 0; i < loads.size(); ++i) next_[i] = v[loads[i].from.v];
+  if (forced_ops_.empty() && forced_loads_.empty()) {
+    for (uint32_t op : ops) v[cn.opGate(op)] = cn.evalOp(op, plain);
+    for (size_t i = 0; i < loads.size(); ++i) next_[i] = v[loads[i].from.v];
+  } else {
+    // Both lists ascend, so one cursor each finds the forced entries.
+    auto f = forced_ops_.begin();
+    for (uint32_t op : ops) {
+      while (f != forced_ops_.end() && f->op < op) ++f;
+      v[cn.opGate(op)] = f != forced_ops_.end() && f->op == op
+                             ? evalForcedOp(*f, v)
+                             : cn.evalOp(op, plain);
+    }
+    auto d = forced_loads_.begin();
+    for (size_t i = 0; i < loads.size(); ++i) {
+      assert(i == 0 || loads[i - 1].dff < loads[i].dff);
+      next_[i] = v[loads[i].from.v];
+      while (d != forced_loads_.end() && d->dff < loads[i].dff) ++d;
+      if (d != forced_loads_.end() && d->dff == loads[i].dff) {
+        next_[i] = d->d.apply(next_[i]);
+      }
+    }
+  }
   for (size_t i = 0; i < loads.size(); ++i) v[loads[i].dff.v] = next_[i];
 }
 

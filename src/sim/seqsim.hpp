@@ -9,10 +9,19 @@
 // Fig. 2) cycle-accurate in simulation. A reduced pulse (pulseOps)
 // evaluates a caller-chosen slice of the logic instead; BistSession's
 // shift pulses use it, and pulse() is its full-eval reference.
+//
+// Lane-masked stuck-at forces turn the 64 lanes of SeqSimulator into 64
+// machines, each with its own faults: parallel-fault sequential
+// simulation in the manner of PROOFS (Niermann, Cheng & Patel, IEEE
+// TCAD 1992). A force acts exactly as fault::injectStuckAt rewires a
+// netlist copy, so lane k of a forced run equals a one-machine run of
+// the die with lane k's faults injected. With no forces, pulse() and
+// pulseOps() run the plain loops.
 #pragma once
 
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "sim/sim2v.hpp"
@@ -37,6 +46,32 @@ class SeqSimulator {
   /// Sets every DFF state to `word` (per-lane broadcast).
   void resetState(uint64_t word = 0);
 
+  /// Force::pin value naming the gate's output stem.
+  static constexpr uint8_t kStem = 0xff;
+  /// One lane-masked stuck-at force: in the lanes set in `lanes`, the
+  /// output stem of `gate` (pin == kStem) or its fanin slot `pin` reads
+  /// `value`.
+  struct Force {
+    GateId gate;
+    uint8_t pin = kStem;
+    bool value = false;
+    uint64_t lanes = 0;
+  };
+  /// Replaces the forces in effect; an empty span removes them all.
+  /// Forces on one gate combine lane by lane. A forced combinational
+  /// stem takes its constant after the gate evaluates; a forced pin
+  /// re-evaluates the gate with that pin's word substituted; a forced
+  /// flop D pin masks what the flop loads. A stem force on a source (an
+  /// input, a constant, an X-source or a flop) acts on every pin that
+  /// reads the source, as injection rewires them, so the source's own
+  /// value() and a flop's state() stay unforced: a forced output on a
+  /// chain's last cell still shows its captured state at SO. Throws
+  /// std::invalid_argument on a pin the gate does not have.
+  void setForces(std::span<const Force> forces);
+  /// Combinational gates some force acts on (forced stems, forced pins
+  /// and the readers of forced sources), ascending.
+  [[nodiscard]] std::vector<GateId> forcedGates() const;
+
   /// One active edge for each domain in `domains` simultaneously.
   void pulse(std::span<const DomainId> domains);
   /// Single-domain convenience overload of pulse().
@@ -53,12 +88,15 @@ class SeqSimulator {
   /// ascending, hence topological, order), then every `loads` flop takes
   /// its source's value at once. It equals a pulse() of those flops only
   /// if every other gate the ops and loads read already holds its value;
-  /// the caller guarantees that.
+  /// the caller guarantees that. Under forces, `loads` must be in
+  /// ascending flop order, and a load whose source bypasses a forced
+  /// gate (a MUX walked through to its selected input) is the caller's
+  /// error: forcedGates() lists the gates to stop at.
   void pulseOps(std::span<const uint32_t> ops, std::span<const Load> loads);
 
   /// Evaluates combinational logic without clocking anything (to inspect
   /// steady-state values, e.g. PO reads between pulses).
-  void settle() { sim_.eval(); }
+  void settle();
 
   /// Value word of any gate after the last pulse()/settle().
   [[nodiscard]] uint64_t value(GateId id) const { return sim_.value(id); }
@@ -70,9 +108,40 @@ class SeqSimulator {
   }
 
  private:
+  // Lane-masked constant: a word w reads (w & keep) | set.
+  struct LaneConst {
+    uint64_t keep = ~uint64_t{0};
+    uint64_t set = 0;
+    // Forces `value` in `lanes`.
+    void add(uint64_t lanes, bool value) {
+      keep &= ~lanes;
+      set = (set & ~lanes) | (value ? lanes : 0);
+    }
+    // `w` as the forced lanes read it.
+    [[nodiscard]] uint64_t apply(uint64_t w) const { return (w & keep) | set; }
+  };
+  // One forced op: its output constant and its forced fanin slots.
+  struct ForcedOp {
+    uint32_t op = 0;
+    LaneConst out;
+    std::vector<std::pair<uint32_t, LaneConst>> pins;
+  };
+  // One forced flop D pin.
+  struct ForcedLoad {
+    GateId dff;
+    DomainId domain;
+    LaneConst d;
+  };
+
+  void evalForced();
+  [[nodiscard]] uint64_t evalForcedOp(const ForcedOp& f,
+                                      const uint64_t* v) const;
+
   Simulator2v sim_;
   std::vector<std::vector<GateId>> dffs_by_domain_;
   std::vector<uint64_t> next_;  // captured D values, one per loaded DFF
+  std::vector<ForcedOp> forced_ops_;      // ascending op
+  std::vector<ForcedLoad> forced_loads_;  // ascending flop
 };
 
 /// Three-valued counterpart of SeqSimulator (power-on X analysis,

@@ -2,6 +2,7 @@
 // PRPG/ODC stacks, schedule generator, controller FSM.
 #include <gtest/gtest.h>
 
+#include <random>
 #include <set>
 #include <vector>
 
@@ -335,6 +336,61 @@ TEST(Odc, RequiresMisrAtLeastChainsWithoutCompactor) {
   OdcConfig compacted = bad;
   compacted.use_compactor = true;
   EXPECT_NO_THROW(Odc{compacted});
+}
+
+TEST(LaneOdc, EveryLaneMatchesAScalarOdc) {
+  // Random scan-out streams into one LaneOdc and 64 scalar Odcs fed one
+  // lane each, over MISR lengths that span one to three WideMisr
+  // segments, with and without the space compactor.
+  std::mt19937_64 rng(18);
+  for (bool compactor : {false, true}) {
+    for (int length = 2; length <= 130; ++length) {
+      OdcConfig cfg;
+      cfg.misr_length = length;
+      cfg.use_compactor = compactor;
+      cfg.chains = 1 + static_cast<int>(
+                           rng() % static_cast<uint64_t>(
+                                       compactor ? 2 * length : length));
+      LaneOdc lanes(cfg);
+      std::vector<Odc> scalar(64, Odc(cfg));
+      std::vector<uint64_t> words(static_cast<size_t>(cfg.chains));
+      std::vector<uint8_t> bits(words.size());
+      for (int cycle = 0; cycle < 40; ++cycle) {
+        if (cycle == 20) {
+          lanes.reset();
+          for (Odc& odc : scalar) odc.reset();
+        }
+        for (uint64_t& w : words) w = rng();
+        lanes.compact(words);
+        for (int lane = 0; lane < 64; ++lane) {
+          for (size_t c = 0; c < words.size(); ++c) {
+            bits[c] = static_cast<uint8_t>((words[c] >> lane) & 1u);
+          }
+          scalar[static_cast<size_t>(lane)].compact(bits);
+        }
+      }
+      for (int lane = 0; lane < 64; ++lane) {
+        ASSERT_EQ(lanes.signature(lane),
+                  scalar[static_cast<size_t>(lane)].signature())
+            << "length " << length << ", chains " << cfg.chains
+            << (compactor ? ", compactor" : "") << ", lane " << lane;
+      }
+    }
+  }
+}
+
+TEST(LaneOdc, RejectsWhatOdcRejects) {
+  OdcConfig bad;
+  bad.chains = 100;
+  bad.misr_length = 19;
+  EXPECT_THROW(LaneOdc{bad}, std::invalid_argument);
+  bad.chains = 0;
+  EXPECT_THROW(LaneOdc{bad}, std::invalid_argument);
+  OdcConfig tiny;
+  tiny.misr_length = 1;
+  EXPECT_THROW(LaneOdc{tiny}, std::out_of_range);
+  LaneOdc odc(OdcConfig{});
+  EXPECT_THROW(odc.compact(std::vector<uint64_t>(2)), std::invalid_argument);
 }
 
 TEST(InputSelector, ExternalModeOverridesPrpg) {

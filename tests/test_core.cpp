@@ -326,6 +326,124 @@ TEST(Session, ShiftPulsesMatchTheFullEvalReference) {
   }
 }
 
+/// The lane oracle: passes of up to 63 faults over `ready`'s own
+/// netlist, in single and double capture at interval 1, each lane
+/// checked against fault::injectStuckAt plus a one-machine session.
+void expectLanesMatchInjection(const BistReadyCore& ready,
+                               const fault::FaultList& fl,
+                               int64_t patterns) {
+  for (bool double_capture : {false, true}) {
+    SessionOptions opts;
+    opts.patterns = patterns;
+    opts.signature_interval = 1;
+    bist::AtSpeedTimingConfig timing = ready.config.timing;
+    timing.double_capture = double_capture;
+    opts.timing_override = timing;
+    const std::string mode =
+        double_capture ? "double capture, " : "single capture, ";
+    BistSession lanes(ready, ready.netlist);
+    const SessionResult golden = lanes.run(opts);
+    const auto expectSame = [&](const SessionResult& got,
+                                const SessionResult& want,
+                                const std::string& what) {
+      ASSERT_EQ(got.signatures, want.signatures) << what;
+      ASSERT_EQ(got.signature_words, want.signature_words) << what;
+      ASSERT_EQ(got.checkpoints, want.checkpoints) << what;
+      ASSERT_EQ(got.patterns_done, want.patterns_done) << what;
+      ASSERT_EQ(got.shift_pulses, want.shift_pulses) << what;
+      ASSERT_EQ(got.capture_pulses, want.capture_pulses) << what;
+      ASSERT_EQ(got.session_ps, want.session_ps) << what;
+      ASSERT_EQ(got.finish, want.finish) << what;
+      ASSERT_EQ(got.result_pass, want.result_pass) << what;
+    };
+    for (size_t begin = 0; begin < fl.size();
+         begin += BistSession::kMaxFaults) {
+      std::vector<fault::Fault> faults;
+      for (size_t i = begin;
+           i < fl.size() && faults.size() < BistSession::kMaxFaults; ++i) {
+        faults.push_back(fl.record(i).fault);
+      }
+      const std::vector<SessionResult> got =
+          lanes.run(opts, faults, &golden);
+      ASSERT_EQ(got.size(), faults.size() + 1);
+      expectSame(got[0], lanes.run(opts, &golden), mode + "die lane");
+      for (size_t k = 0; k < faults.size(); ++k) {
+        Netlist die = ready.netlist;
+        fault::injectStuckAt(die, faults[k]);
+        BistSession reference(ready, die);
+        expectSame(got[k + 1], reference.run(opts, &golden),
+                   mode + faults[k].describe(ready.netlist));
+      }
+    }
+  }
+}
+
+fault::FaultList uncollapsedStuckAt(const Netlist& nl) {
+  fault::FaultListOptions fo;
+  fo.collapse = false;
+  return fault::FaultList::enumerateStuckAt(nl, fo);
+}
+
+TEST(Session, LanesMatchTheInjectedDies) {
+  // A lane pass forces up to 63 faults, one per lane, into the die's own
+  // netlist. Each lane must equal the reference over the sweep core's
+  // whole uncollapsed stuck-at universe.
+  const BistReadyCore ready = sweepCore();
+  expectLanesMatchInjection(ready, uncollapsedStuckAt(ready.netlist), 3);
+}
+
+TEST(Session, LanesFollowAFaultThatRevivesADeadFlop) {
+  // Non-scan flop n is X-bounded, so on the intact die nothing a MISR
+  // sees depends on it and shift pulses do not load it. A stuck-at-1 on
+  // its blocking AND's test-mode pin lets n reach f3, so in that lane n
+  // must shift like any live flop: the pass's shift program has to count
+  // every forced site as unknown, not only the intact die's live cones.
+  Netlist nl("revive");
+  const DomainId clk = nl.addClockDomain("clk", 4000);
+  const GateId a = nl.addInput("a");
+  const GateId b = nl.addInput("b");
+  const GateId zero = nl.addConst(false);
+  const GateId f1 = nl.addDff(zero, clk, "f1");
+  const GateId f2 = nl.addDff(zero, clk, "f2");
+  const GateId f3 = nl.addDff(zero, clk, "f3");
+  const GateId n = nl.addDff(zero, clk, "n");
+  nl.setFanin(f1, 0, nl.addGate(CellKind::kXor, {a, f2}));
+  nl.setFanin(f2, 0, nl.addGate(CellKind::kXnor, {b, f1}));
+  nl.setFanin(n, 0, nl.addGate(CellKind::kXor, {f1, f2}));
+  nl.setFanin(f3, 0, nl.addGate(CellKind::kXor, {n, f1}));
+  nl.setFlag(n, kFlagNoScan);
+  nl.addOutput(f3, "o");
+  LbistConfig cfg;
+  cfg.num_chains = 1;
+  cfg.tpi_method = TpiMethod::kNone;
+  cfg.test_points = 0;
+  const BistReadyCore ready = buildBistReadyCore(nl, cfg);
+  ASSERT_EQ(ready.xbound.blocking_gates.size(), 1u);
+  const fault::Fault revive{ready.xbound.blocking_gates[0], 1,
+                            fault::FaultType::kStuckAt1};
+  const fault::FaultList fl = uncollapsedStuckAt(ready.netlist);
+  bool listed = false;
+  for (size_t i = 0; i < fl.size(); ++i) listed |= fl.record(i).fault == revive;
+  ASSERT_TRUE(listed);
+  expectLanesMatchInjection(ready, fl, 8);
+}
+
+TEST(Session, LanePassRejectsWhatItCannotForce) {
+  const BistReadyCore ready = sweepCore();
+  BistSession session(ready, ready.netlist);
+  SessionOptions opts;
+  opts.patterns = 1;
+  const fault::Fault stuck{ready.scan.se_port, fault::kOutputPin,
+                           fault::FaultType::kStuckAt0};
+  const std::vector<fault::Fault> too_many(BistSession::kMaxFaults + 1,
+                                           stuck);
+  EXPECT_THROW((void)session.run(opts, too_many), std::invalid_argument);
+  fault::Fault slow = stuck;
+  slow.type = fault::FaultType::kSlowToRise;
+  EXPECT_THROW((void)session.run(opts, std::vector<fault::Fault>{slow}),
+               std::invalid_argument);
+}
+
 TEST(Session, IntactDieShiftsEvaluateNoOps) {
   // session.ops counts the compiled ops the pulses evaluated: on an
   // intact die only the capture pulses evaluate any, the whole core each.
