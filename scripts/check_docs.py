@@ -23,8 +23,8 @@ import re
 import sys
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-DOC_HEADER_DIRS = ["src/atpg", "src/core", "src/diag", "src/fault", "src/obs",
-                   "src/robust", "src/sim", "src/soc"]
+DOC_HEADER_DIRS = ["src/atpg", "src/bist", "src/core", "src/diag", "src/fault",
+                   "src/obs", "src/robust", "src/sim", "src/soc"]
 
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 

@@ -22,6 +22,8 @@
 
 namespace lbist::bist {
 
+/// The edge timing of one self-test (paper Fig. 2): slow shift clock,
+/// SE settling gaps d1/d5, and the inter-domain capture gap d3.
 struct AtSpeedTimingConfig {
   uint64_t shift_period_ps = 10'000;  // slow shift clock (100 MHz default)
   uint64_t pulse_width_ps = 400;      // drawn width of clock pulses
@@ -33,11 +35,16 @@ struct AtSpeedTimingConfig {
   /// testing — the ablation baseline).
   bool double_capture = true;
 
+  /// Why this timing cannot drive `domains` (an empty string when it
+  /// can): the shift clock must be the slowest clock and every gap must
+  /// leave the slow SE room to settle.
   [[nodiscard]] std::string validate(
       std::span<const ClockDomain> domains) const;
 };
 
+/// One edge or marker of the self-test timeline.
 struct ScheduleEvent {
+  /// What happens at the event.
   enum class Kind : uint8_t {
     kSeFall,        // scan enable 1 -> 0 (inside the d1 gap)
     kSeRise,        // scan enable 0 -> 1 (inside the d5 gap)
@@ -60,6 +67,9 @@ struct ScheduleEvent {
 /// pairs is what absorbs inter-domain clock skew.
 class BistSchedule {
  public:
+  /// Schedules `n_patterns` patterns of `shift_cycles` shift pulses each
+  /// over `domains`. Throws std::invalid_argument when the timing fails
+  /// validate() or a count is not positive.
   BistSchedule(std::span<const ClockDomain> domains,
                const AtSpeedTimingConfig& cfg, int shift_cycles,
                int64_t n_patterns);
@@ -67,6 +77,7 @@ class BistSchedule {
   /// Next event in time order; nullopt after kSessionEnd was returned.
   std::optional<ScheduleEvent> next();
 
+  /// Patterns the schedule runs.
   [[nodiscard]] int64_t patterns() const { return n_patterns_; }
 
   /// Renders the first `max_patterns` patterns as a waveform with one TCK

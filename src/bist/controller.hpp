@@ -14,6 +14,7 @@
 
 namespace lbist::bist {
 
+/// States of the controller FSM, in the order a self-test walks them.
 enum class ControllerState : uint8_t {
   kIdle,        // waiting for Start
   kSeedLoad,    // loading PRPG seeds / golden signature via Boundary-Scan
@@ -25,15 +26,20 @@ enum class ControllerState : uint8_t {
   kDone,        // Finish high, Result valid
 };
 
+/// Display name of `s` ("Shift", "Capture", ...).
 [[nodiscard]] std::string_view controllerStateName(ControllerState s);
 
+/// The controller FSM of the file comment: walks schedule events, counts
+/// patterns and pulses, requests interval checkpoints, reports Result.
 class BistController {
  public:
   BistController() = default;
 
   // --- external pin interface --------------------------------------------
   void start();
+  /// Finish pin: high once the final compare is done.
   [[nodiscard]] bool finish() const { return state_ == ControllerState::kDone; }
+  /// Result pin: valid with Finish, high when every signature matched.
   [[nodiscard]] bool result() const {
     return finish() && signatures_match_;
   }
@@ -57,11 +63,16 @@ class BistController {
   /// (src/diag) uses the snapshots to narrow a failing run to failing
   /// windows before replaying. Set before start().
   void setSignatureInterval(int64_t k) { signature_interval_ = k; }
+  /// True right after a kPatternEnd that completes an interval.
   [[nodiscard]] bool checkpointDue() const { return checkpoint_due_; }
 
+  /// Current FSM state.
   [[nodiscard]] ControllerState state() const { return state_; }
+  /// Patterns completed (kPatternEnd events seen) since start().
   [[nodiscard]] int64_t patternsDone() const { return patterns_done_; }
+  /// Shift pulses seen since start().
   [[nodiscard]] uint64_t shiftPulses() const { return shift_pulses_; }
+  /// Launch and capture pulses seen since start().
   [[nodiscard]] uint64_t capturePulses() const { return capture_pulses_; }
 
  private:

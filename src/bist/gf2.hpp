@@ -17,19 +17,26 @@ namespace lbist::bist {
 class Gf2Matrix {
  public:
   Gf2Matrix() = default;
+  /// The n x n zero matrix.
   explicit Gf2Matrix(int n) : n_(n), rows_(static_cast<size_t>(n), 0) {}
 
+  /// The n x n identity.
   static Gf2Matrix identity(int n);
 
+  /// Dimension n.
   [[nodiscard]] int dim() const { return n_; }
+  /// Row i, bit j = element (i, j).
   [[nodiscard]] uint64_t row(int i) const {
     return rows_[static_cast<size_t>(i)];
   }
+  /// Overwrites row i.
   void setRow(int i, uint64_t bits) { rows_[static_cast<size_t>(i)] = bits; }
 
+  /// Element (i, j).
   [[nodiscard]] bool get(int i, int j) const {
     return ((rows_[static_cast<size_t>(i)] >> j) & 1u) != 0;
   }
+  /// Sets element (i, j) to `v`.
   void set(int i, int j, bool v) {
     const uint64_t bit = uint64_t{1} << j;
     if (v) {
@@ -50,6 +57,7 @@ class Gf2Matrix {
   /// Rank via Gaussian elimination (destructive on a copy).
   [[nodiscard]] int rank() const;
 
+  /// Same dimension and elements.
   friend bool operator==(const Gf2Matrix& a, const Gf2Matrix& b) {
     return a.n_ == b.n_ && a.rows_ == b.rows_;
   }

@@ -16,6 +16,7 @@
 
 namespace lbist::bist {
 
+/// Synthesis knobs of a PhaseShifter.
 struct PhaseShifterOptions {
   /// Minimum sequence separation between adjacent channels, in bits.
   /// Must exceed the longest scan chain so no chain ever holds two
@@ -27,17 +28,23 @@ struct PhaseShifterOptions {
   uint64_t slack = 0;
 };
 
+/// XOR network giving each channel the LFSR's m-sequence advanced by its
+/// own offset (see the file comment).
 class PhaseShifter {
  public:
+  /// Synthesizes `channels` channels over the LFSR `reference`.
   PhaseShifter(const Lfsr& reference, int channels,
                PhaseShifterOptions opts = {});
 
+  /// Number of output channels.
   [[nodiscard]] int channels() const {
     return static_cast<int>(taps_.size());
   }
+  /// LFSR cells XORed into `channel` (bit j = cell j).
   [[nodiscard]] uint64_t taps(int channel) const {
     return taps_[static_cast<size_t>(channel)];
   }
+  /// Sequence offset of `channel`, in LFSR cycles.
   [[nodiscard]] uint64_t offset(int channel) const {
     return offsets_[static_cast<size_t>(channel)];
   }

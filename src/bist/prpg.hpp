@@ -17,6 +17,8 @@
 
 namespace lbist::bist {
 
+/// Shape of one domain's PRPG: LFSR length and seed, chains fed, and
+/// the phase shifter and optional space expander between them.
 struct PrpgConfig {
   int length = 19;          // LFSR cells (the paper uses 19 on both cores)
   uint64_t seed = 1;
@@ -27,10 +29,13 @@ struct PrpgConfig {
   PhaseShifterOptions shifter;
 };
 
+/// The PRPG stack of the file comment, one shift cycle at a time.
 class Prpg {
  public:
+  /// Builds the stack; throws std::invalid_argument on a bad shape.
   explicit Prpg(const PrpgConfig& cfg);
 
+  /// Restarts the LFSR from `seed` and the cycle count from zero.
   void loadSeed(uint64_t seed);
 
   /// Emits the per-chain stimulus bits for the current shift cycle into
@@ -40,10 +45,15 @@ class Prpg {
   /// Chain bit for the current cycle without advancing (inspection).
   [[nodiscard]] uint8_t peekChainBit(int chain) const;
 
+  /// Scan chains fed per slice.
   [[nodiscard]] int chains() const { return cfg_.chains; }
+  /// Shift cycles since the last loadSeed().
   [[nodiscard]] uint64_t cyclesElapsed() const { return cycles_; }
+  /// The LFSR in its current state.
   [[nodiscard]] const Lfsr& lfsr() const { return lfsr_; }
+  /// The phase shifter between the LFSR and the chains.
   [[nodiscard]] const PhaseShifter& shifter() const { return shifter_; }
+  /// The space expander, or nullptr when every chain has its channel.
   [[nodiscard]] const SpaceExpander* expander() const {
     return expander_ ? &*expander_ : nullptr;
   }
@@ -61,6 +71,8 @@ class Prpg {
   uint64_t cycles_ = 0;
 };
 
+/// Shape of one domain's ODC: MISR length, chains compacted, and whether
+/// a space compactor sits between them.
 struct OdcConfig {
   int misr_length = 19;
   int chains = 1;
@@ -69,27 +81,37 @@ struct OdcConfig {
   bool use_compactor = false;
 };
 
+/// The ODC stack of the file comment, one shift cycle at a time.
 class Odc {
  public:
+  /// Builds the stack; throws std::invalid_argument on a bad shape.
   explicit Odc(const OdcConfig& cfg);
 
   /// Compacts one shift-cycle slice of scan-out bits (size == chains()).
   void compact(std::span<const uint8_t> chain_out);
 
+  /// The MISR signature words (WideMisr segment order).
   [[nodiscard]] std::vector<uint64_t> signature() const {
     return misr_.signatureWords();
   }
+  /// The signature as WideMisr::signatureHex renders it.
   [[nodiscard]] std::string signatureHex() const {
     return misr_.signatureHex();
   }
+  /// Clears the MISR.
   void reset() { misr_.reset(); }
 
+  /// Scan chains compacted per slice.
   [[nodiscard]] int chains() const { return cfg_.chains; }
+  /// The MISR in its current state.
   [[nodiscard]] const WideMisr& misr() const { return misr_; }
+  /// The space compactor, or nullptr when the chains feed the MISR.
   [[nodiscard]] const SpaceCompactor* compactor() const {
     return compactor_ ? &*compactor_ : nullptr;
   }
 
+  /// Gate-equivalent hardware cost (MISR FFs and XORs plus compactor
+  /// XORs), for the Table 1 overhead accounting.
   [[nodiscard]] double gateEquivalents() const;
 
  private:
@@ -117,9 +139,6 @@ class LaneOdc {
   [[nodiscard]] std::vector<uint64_t> signature(int lane) const;
   /// Clears every lane's MISR.
   void reset();
-
-  /// Scan chains compacted per slice.
-  [[nodiscard]] int chains() const { return cfg_.chains; }
 
  private:
   OdcConfig cfg_;

@@ -19,15 +19,20 @@ namespace lbist::bist {
 /// stride so no two outputs share a tap set.
 class SpaceExpander {
  public:
+  /// Expands `inputs` channels onto `outputs` >= `inputs` chains.
   SpaceExpander(int inputs, int outputs);
 
+  /// Input channels.
   [[nodiscard]] int inputs() const { return inputs_; }
+  /// Output chains.
   [[nodiscard]] int outputs() const { return static_cast<int>(taps_.size()); }
+  /// Inputs XORed into `output`.
   [[nodiscard]] std::span<const int> taps(int output) const {
     const auto& t = taps_[static_cast<size_t>(output)];
     return {t.data(), t.size()};
   }
 
+  /// Writes every output bit from the input bits (sizes as constructed).
   void apply(std::span<const uint8_t> in, std::span<uint8_t> out) const;
 
   /// XOR gate count of the network.
@@ -42,16 +47,21 @@ class SpaceExpander {
 /// {j : j % misr_inputs == i}.
 class SpaceCompactor {
  public:
+  /// Compacts `chain_outputs` chains onto `misr_inputs` <= that many.
   SpaceCompactor(int chain_outputs, int misr_inputs);
 
+  /// MISR inputs driven.
   [[nodiscard]] int misrInputs() const { return misr_; }
 
+  /// Writes every MISR input bit from the chain bits (sizes as
+  /// constructed).
   void apply(std::span<const uint8_t> chain_out,
              std::span<uint8_t> misr_in) const;
 
   /// Packed convenience for <= 64 bits each side.
   [[nodiscard]] uint64_t applyPacked(uint64_t chain_bits) const;
 
+  /// XOR gate count of the network.
   [[nodiscard]] size_t xorCount() const;
 
  private:

@@ -107,21 +107,30 @@ core::SessionOptions Diagnoser::sessionOptions() const {
   return o;
 }
 
-core::SessionResult Diagnoser::runSession(const Netlist& die,
-                                          const core::SessionOptions& o) {
-  if (&die == &core_->netlist) return coreSession().run(o);
-  core::BistSession session(*core_, die);
-  return session.run(o);
-}
-
 core::BistSession& Diagnoser::coreSession() {
   if (!core_session_) core_session_.emplace(*core_, core_->netlist);
   return *core_session_;
 }
 
 const core::SessionResult& Diagnoser::goldenRun() {
-  if (!golden_) golden_ = runSession(core_->netlist, sessionOptions());
+  if (!golden_) {
+    core::SessionOptions o = sessionOptions();
+    o.signature_interval = 1;
+    golden_ = coreSession().run(o);
+  }
   return *golden_;
+}
+
+core::SessionResult Diagnoser::windowView(const core::SessionResult& fine,
+                                          int64_t interval) {
+  // The checkpoint interval only chooses which MISR states a run
+  // records, so an interval-1 run holds every coarser run's checkpoints.
+  core::SessionResult view = fine;
+  view.checkpoints.clear();
+  for (const core::SignatureCheckpoint& cp : fine.checkpoints) {
+    if (cp.patterns_done % interval == 0) view.checkpoints.push_back(cp);
+  }
+  return view;
 }
 
 Syndrome Diagnoser::extractSyndrome(
@@ -173,19 +182,26 @@ Syndrome Diagnoser::extractSyndrome(
   return s;
 }
 
-int64_t Diagnoser::binarySearchFirstFail(const Netlist& bad_die, int64_t lo,
-                                         int64_t hi, size_t& session_runs) {
+int64_t Diagnoser::binarySearchFirstFail(core::BistSession& die,
+                                         int64_t lo, int64_t hi,
+                                         size_t& session_runs) {
   // fail(p): does truncating the session after pattern p already show a
   // signature mismatch? Monotone in p (MISR errors persist), so the
-  // first failing pattern is the boundary.
+  // first failing pattern is the boundary. Only the die replays: its
+  // final unload is the shift window of pattern p + 1, so the golden
+  // side is the golden interval-1 checkpoint after p + 2 patterns, or
+  // the final signature when p + 1 is the whole session.
+  const core::SessionResult& golden = goldenRun();
   core::SessionOptions o = sessionOptions();
   o.signature_interval = 0;
   auto fails = [&](int64_t p) {
     o.patterns = p + 1;
-    const core::SessionResult g = runSession(core_->netlist, o);
-    const core::SessionResult b = runSession(bad_die, o);
-    session_runs += 2;
-    return g.signature_words != b.signature_words;
+    const core::SessionResult b = die.run(o);
+    ++session_runs;
+    return b.signature_words !=
+           (p + 1 < opts_.patterns
+                ? golden.checkpoints[static_cast<size_t>(p + 1)].domain_words
+                : golden.signature_words);
   };
   while (lo < hi) {
     const int64_t mid = lo + (hi - lo) / 2;
@@ -211,28 +227,19 @@ const ResponseDictionary& Diagnoser::dictionary() {
   return *dict_;
 }
 
-uint32_t Diagnoser::domainReachMask(const fault::Fault& f) const {
-  const Netlist& nl = core_->netlist;
-  uint32_t mask = 0;
-  for (size_t i = 0; i < domain_reach_.size(); ++i) {
-    if (domain_reach_[i][f.gate.v] != 0) mask |= uint32_t{1} << i;
+bool Diagnoser::reachesDomain(const fault::Fault& f, size_t domain) const {
+  if (domain_reach_[domain][f.gate.v] != 0) return true;
+  // Capture-pin fault: also observed directly at the cell's own chain.
+  if (f.pin == fault::kOutputPin ||
+      core_->netlist.gate(f.gate).kind != CellKind::kDff) {
+    return false;
   }
-  const Gate& g = nl.gate(f.gate);
-  if (f.pin != fault::kOutputPin && g.kind == CellKind::kDff) {
-    // Capture-pin fault: also observed directly at the cell's own chain.
-    const dft::ScanChain* chain = core_->scan.chainOf(f.gate);
-    if (chain != nullptr) {
-      const size_t chain_index =
-          static_cast<size_t>(chain - core_->scan.chains.data());
-      for (size_t i = 0; i < core_->domain_bist.size(); ++i) {
-        const auto& idx = core_->domain_bist[i].chain_indices;
-        if (std::find(idx.begin(), idx.end(), chain_index) != idx.end()) {
-          mask |= uint32_t{1} << i;
-        }
-      }
-    }
-  }
-  return mask;
+  const dft::ScanChain* chain = core_->scan.chainOf(f.gate);
+  if (chain == nullptr) return false;
+  const auto chain_index =
+      static_cast<size_t>(chain - core_->scan.chains.data());
+  const auto& idx = core_->domain_bist[domain].chain_indices;
+  return std::find(idx.begin(), idx.end(), chain_index) != idx.end();
 }
 
 void Diagnoser::matchSyndrome(const Syndrome& syndrome, Diagnosis& out) {
@@ -253,11 +260,9 @@ void Diagnoser::matchSyndrome(const Syndrome& syndrome, Diagnosis& out) {
     obs_windows.assign(syndrome.dirty_windows.begin(),
                        syndrome.dirty_windows.end());
   }
-  uint32_t failing_domain_mask = 0;
+  std::vector<size_t> failing_domains;
   for (size_t i = 0; i < syndrome.failing_domains.size(); ++i) {
-    if (syndrome.failing_domains[i] != 0) {
-      failing_domain_mask |= uint32_t{1} << i;
-    }
+    if (syndrome.failing_domains[i] != 0) failing_domains.push_back(i);
   }
 
   std::vector<Candidate> all;
@@ -267,8 +272,8 @@ void Diagnoser::matchSyndrome(const Syndrome& syndrome, Diagnosis& out) {
     if (first < 0) continue;  // silent fault: cannot explain a failure
     const fault::Fault& f = faults_.record(fi).fault;
     // A single fault must be able to corrupt every failing domain.
-    if (failing_domain_mask != 0 &&
-        (domainReachMask(f) & failing_domain_mask) != failing_domain_mask) {
+    if (!std::all_of(failing_domains.begin(), failing_domains.end(),
+                     [&](size_t i) { return reachesDomain(f, i); })) {
       continue;
     }
 
@@ -376,10 +381,18 @@ Diagnosis Diagnoser::diagnoseDie(const Netlist& bad_die) {
 
   const bool golden_cached = golden_.has_value();
   const core::SessionResult& golden = goldenRun();
-  const core::SessionResult failing = runSession(bad_die, sessionOptions());
+  // The die runs once: per pattern for the exact replay, whose window
+  // view is the interval run, or at the window interval alone.
+  core::BistSession die(*core_, bad_die);
+  core::SessionOptions o = sessionOptions();
+  if (opts_.exact_pattern_replay) o.signature_interval = 1;
+  const core::SessionResult die_run = die.run(o);
+  const core::SessionResult failing =
+      windowView(die_run, opts_.signature_interval);
   d.session_runs = golden_cached ? 1 : 2;
 
-  d.syndrome = extractSyndrome(golden, failing);
+  d.syndrome = extractSyndrome(windowView(golden, opts_.signature_interval),
+                               failing);
   d.failed = d.syndrome.anyDirty();
   if (!d.failed) {
     d.total_seconds =
@@ -391,12 +404,7 @@ Diagnosis Diagnoser::diagnoseDie(const Netlist& bad_die) {
   if (opts_.exact_pattern_replay) {
     // Per-pattern checkpoints turn every window into a single capture:
     // dirty window w (w >= 1) means pattern w-1 failed.
-    core::SessionOptions o = sessionOptions();
-    o.signature_interval = 1;
-    const core::SessionResult g1 = runSession(core_->netlist, o);
-    const core::SessionResult b1 = runSession(bad_die, o);
-    d.session_runs += 2;
-    const Syndrome fine = extractSyndrome(g1, b1);
+    const Syndrome fine = extractSyndrome(golden, die_run);
     for (size_t w = 1; w < fine.dirty_windows.size(); ++w) {
       if (fine.dirty_windows[w] != 0) {
         d.syndrome.failing_patterns.push_back(static_cast<int64_t>(w) - 1);
@@ -422,7 +430,7 @@ Diagnosis Diagnoser::diagnoseDie(const Netlist& bad_die) {
                        (static_cast<int64_t>(first_dirty) + 1) * interval - 2)
             : opts_.patterns - 1;
     d.syndrome.first_failing_pattern =
-        binarySearchFirstFail(bad_die, lo, hi, d.session_runs);
+        binarySearchFirstFail(die, lo, hi, d.session_runs);
   }
 
   matchSyndrome(d.syndrome, d);

@@ -8,8 +8,12 @@
 //     is linear, the signature difference D evolves autonomously between
 //     checkpoints (D' = A^cycles * D) unless new errors entered, so the
 //     set of error-injecting windows falls straight out of the
-//     checkpoint trace; binary-search replay of truncated sessions then
-//     pins the first failing pattern in O(log n) re-runs.
+//     checkpoint trace. The golden machine runs once per Diagnoser, at
+//     per-pattern checkpoints; its window trace is a subset of them, and
+//     so is a truncated golden run's signature. With the exact replay
+//     the die also runs once per-pattern; otherwise binary-search replay
+//     of the die alone, truncated, pins the first failing pattern in
+//     O(log n) re-runs.
 //  2. MATCH — a response dictionary (per-fault, per-pattern detection
 //     bitmaps from the parallel PPSFP engine, see dictionary.hpp) is
 //     intersected against the observed failing windows/patterns; exact
@@ -17,9 +21,11 @@
 //     unmodeled defects. Candidates that cannot structurally reach every
 //     failing clock domain's MISR are pruned (multi-domain sessions).
 //  3. CONFIRM — the top ten stuck-at candidates (transition faults
-//     cannot be hardwired) are injected into a die copy and re-run
-//     through the cycle-accurate session; a candidate that reproduces
-//     the observed checkpoint trace bit-for-bit is confirmed.
+//     cannot be hardwired) are replayed through the cycle-accurate
+//     session in one pass over the core's netlist, one candidate forced
+//     into each simulator lane (BistSession's lane pass, which equals
+//     injecting each into a die copy); a candidate that reproduces the
+//     observed checkpoint trace bit-for-bit is confirmed.
 //
 // Stuck-at diagnosis runs its sessions single-capture, and the dictionary
 // is built with the staged-capture fault simulator
@@ -61,11 +67,14 @@ struct DiagnosisOptions {
   bool transition = false;
   /// Ranked candidates to report.
   size_t max_candidates = 10;
-  /// Re-run both sessions with per-pattern checkpoints to recover the
-  /// exact failing-pattern set (2 extra runs). Matching then happens at
-  /// pattern granularity instead of window granularity — essential when
-  /// a gross defect dirties every window and the window bitmap stops
-  /// discriminating. Disable for the ATE-style windows-only flow.
+  /// Run the die with per-pattern checkpoints to recover the exact
+  /// failing-pattern set. It costs no extra run: the window trace is a
+  /// subset of those checkpoints, and the golden runs per-pattern anyway.
+  /// Matching then happens at pattern granularity instead of window
+  /// granularity — essential when a gross defect dirties every window
+  /// and the window bitmap stops discriminating. Disable for the
+  /// ATE-style windows-only flow, which binary-searches the first
+  /// failing pattern with truncated die runs instead.
   bool exact_pattern_replay = true;
 };
 
@@ -120,6 +129,7 @@ struct Diagnosis {
   /// Candidates tied with the best pre-confirmation match — the
   /// diagnostic resolution (1 = unambiguous).
   size_t tied_top = 0;
+  /// Machines replayed: each lane of a lane pass counts as one run.
   size_t session_runs = 0;
   size_t faults_simulated = 0;
   double dictionary_seconds = 0.0;
@@ -134,9 +144,9 @@ class Diagnoser {
   /// `core` must outlive the diagnoser (sessions replay against it).
   Diagnoser(const core::BistReadyCore& core, DiagnosisOptions opts = {});
 
-  /// Full flow against a (defective) die netlist: golden + failing
-  /// interval runs, window narrowing, binary-search replay, dictionary
-  /// match, injected-session confirmation.
+  /// Full flow against a (defective) die netlist: golden and die runs,
+  /// window narrowing, exact replay or binary search, dictionary match,
+  /// lane-pass confirmation.
   [[nodiscard]] Diagnosis diagnoseDie(const Netlist& bad_die);
 
   /// Matching only, from an externally observed syndrome (e.g. ATE
@@ -160,29 +170,33 @@ class Diagnoser {
 
  private:
   [[nodiscard]] core::SessionOptions sessionOptions() const;
-  [[nodiscard]] core::SessionResult runSession(const Netlist& die,
-                                               const core::SessionOptions& o);
   /// The session over the core's own netlist, built on first use.
   core::BistSession& coreSession();
+  /// The golden run at signature_interval 1, run on first use.
   const core::SessionResult& goldenRun();
+  /// What a run at `interval` reports, from the interval-1 run `fine`.
+  [[nodiscard]] static core::SessionResult windowView(
+      const core::SessionResult& fine, int64_t interval);
   [[nodiscard]] Syndrome extractSyndrome(
       const core::SessionResult& golden,
       const core::SessionResult& failing) const;
-  [[nodiscard]] int64_t binarySearchFirstFail(const Netlist& bad_die,
+  [[nodiscard]] int64_t binarySearchFirstFail(core::BistSession& die,
                                               int64_t lo, int64_t hi,
                                               size_t& session_runs);
   void ensureDictionary();
   void matchSyndrome(const Syndrome& syndrome, Diagnosis& out);
   void confirmCandidates(const core::SessionResult& observed,
                          Diagnosis& out);
-  [[nodiscard]] uint32_t domainReachMask(const fault::Fault& f) const;
+  /// Whether `f` can corrupt DomainBist `domain`'s signature.
+  [[nodiscard]] bool reachesDomain(const fault::Fault& f,
+                                   size_t domain) const;
 
   const core::BistReadyCore* core_;
   DiagnosisOptions opts_;
   fault::FaultList faults_;
   std::optional<ResponseDictionary> dict_;
   DictionaryBuildStats dict_stats_;
-  std::optional<core::SessionResult> golden_;
+  std::optional<core::SessionResult> golden_;  // at signature_interval 1
   // Replays the golden machine and the candidates' lane passes.
   std::optional<core::BistSession> core_session_;
   // Per DomainBist, per gate: 1 if the gate's sequential backward cone

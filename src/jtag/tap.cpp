@@ -189,7 +189,7 @@ bool TapController::clockTck(bool tms, bool tdi) {
     selectedRegister()->update();
   }
   if (next == TapState::kUpdateIr && state_ != TapState::kUpdateIr) {
-    ir_ = ir_shift_ & ((uint32_t{1} << ir_length_) - 1);
+    ir_ = ir_shift_ & irMask();
   }
   if (next == TapState::kTestLogicReset) {
     ir_ = idcodeOpcode();

@@ -149,12 +149,16 @@ class TapController {
   [[nodiscard]] std::string_view currentInstructionName() const;
 
   [[nodiscard]] uint32_t bypassOpcode() const {
-    return (uint32_t{1} << ir_length_) - 1;  // all-ones per the standard
+    return irMask();  // all-ones per the standard
   }
   [[nodiscard]] uint32_t idcodeOpcode() const { return 0b0001; }
 
  private:
   [[nodiscard]] DataRegister* selectedRegister();
+  /// The low ir_length bits set (a 32-bit IR sets them all).
+  [[nodiscard]] uint32_t irMask() const {
+    return ~uint32_t{0} >> (32 - ir_length_);
+  }
 
   int ir_length_;
   TapState state_ = TapState::kTestLogicReset;

@@ -428,6 +428,62 @@ TEST(Session, LanesFollowAFaultThatRevivesADeadFlop) {
   expectLanesMatchInjection(ready, fl, 8);
 }
 
+TEST(Session, CoarseAndTruncatedRunsAreViewsOfTheIntervalOneRun) {
+  // Diagnosis runs each machine once at interval 1 and reads coarser
+  // checkpoint traces and truncated sessions off that run. The interval
+  // only picks which MISR states a run records, and a run truncated
+  // after p + 1 patterns unloads in what is pattern p + 1's shift
+  // window in the full run, so it ends on the interval-1 checkpoint
+  // after p + 2 patterns, or on the final signature at p + 1 = patterns.
+  const BistReadyCore ready = sweepCore();
+  const fault::FaultList fl = uncollapsedStuckAt(ready.netlist);
+  std::vector<Netlist> dies{ready.netlist};
+  std::mt19937_64 rng(18);
+  for (int k = 0; k < 4; ++k) {
+    dies.push_back(ready.netlist);
+    fault::injectStuckAt(dies.back(), fl.record(rng() % fl.size()).fault);
+  }
+  constexpr int64_t kPatterns = 12;
+  for (bool double_capture : {false, true}) {
+    SessionOptions opts;
+    bist::AtSpeedTimingConfig timing = ready.config.timing;
+    timing.double_capture = double_capture;
+    opts.timing_override = timing;
+    for (size_t i = 0; i < dies.size(); ++i) {
+      const std::string what = (double_capture ? "double" : "single") +
+                               std::string(" capture, die ") +
+                               std::to_string(i);
+      BistSession session(ready, dies[i]);
+      opts.patterns = kPatterns;
+      opts.signature_interval = 1;
+      const SessionResult fine = session.run(opts);
+      ASSERT_EQ(fine.checkpoints.size(), static_cast<size_t>(kPatterns));
+      for (int64_t interval : {2, 3, 5, 12}) {
+        opts.signature_interval = interval;
+        const SessionResult coarse = session.run(opts);
+        std::vector<SignatureCheckpoint> picked;
+        for (const SignatureCheckpoint& cp : fine.checkpoints) {
+          if (cp.patterns_done % interval == 0) picked.push_back(cp);
+        }
+        EXPECT_EQ(coarse.checkpoints, picked) << what << ", interval "
+                                              << interval;
+        EXPECT_EQ(coarse.signature_words, fine.signature_words) << what;
+      }
+      opts.signature_interval = 0;
+      for (int64_t p = 0; p < kPatterns; ++p) {
+        opts.patterns = p + 1;
+        const SessionResult truncated = session.run(opts);
+        EXPECT_EQ(truncated.signature_words,
+                  p + 1 < kPatterns
+                      ? fine.checkpoints[static_cast<size_t>(p + 1)]
+                            .domain_words
+                      : fine.signature_words)
+            << what << ", truncated after " << p + 1 << " patterns";
+      }
+    }
+  }
+}
+
 TEST(Session, LanePassRejectsWhatItCannotForce) {
   const BistReadyCore ready = sweepCore();
   BistSession session(ready, ready.netlist);

@@ -7,12 +7,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <random>
+#include <string>
 #include <vector>
 
+#include "bist/lfsr.hpp"
 #include "core/architect.hpp"
 #include "core/session.hpp"
 #include "diag/diagnoser.hpp"
 #include "fault/inject.hpp"
+#include "gen/ipcore.hpp"
 #include "gen/refcircuits.hpp"
 
 namespace lbist::diag {
@@ -235,6 +239,263 @@ TEST(Diagnoser, TwoDomainSyndromeNamesTheFailingDomains) {
   EXPECT_TRUE(d.syndrome.failing_domains[0] != 0 ||
               d.syndrome.failing_domains[1] != 0);
   EXPECT_EQ(d.candidates[0].fault_index, true_fi);
+}
+
+/// The injection reference for diagnoseDie: every session a separate
+/// one-machine run (golden on the core netlist, the die on its own,
+/// each candidate injected into a core copy), syndromes from the MISR
+/// algebra applied to those runs, and the first failing pattern from a
+/// linear scan over truncated golden and die runs.
+struct InjectionReference {
+  const core::BistReadyCore& ready;
+  DiagnosisOptions opts;
+
+  core::SessionOptions session(int64_t patterns, int64_t interval) const {
+    core::SessionOptions o;
+    o.patterns = patterns;
+    o.signature_interval = interval;
+    bist::AtSpeedTimingConfig timing = ready.config.timing;
+    timing.double_capture = false;
+    o.timing_override = timing;
+    return o;
+  }
+  core::SessionResult run(const Netlist& die,
+                          const core::SessionOptions& o) const {
+    core::BistSession session(ready, die);
+    return session.run(o);
+  }
+  /// Dirty windows of `b` against `g` (interval runs of one length);
+  /// fills `failing_domains` when non-null.
+  std::vector<uint8_t> dirtyWindows(const core::SessionResult& g,
+                                    const core::SessionResult& b,
+                                    int64_t interval,
+                                    std::vector<uint8_t>* failing_domains) const {
+    const auto shift =
+        static_cast<uint64_t>(ready.shiftCyclesPerPattern());
+    const size_t n = g.checkpoints.size();
+    std::vector<uint8_t> dirty(n + 1, 0);
+    if (failing_domains != nullptr) {
+      failing_domains->assign(ready.domain_bist.size(), 0);
+    }
+    for (size_t i = 0; i < ready.domain_bist.size(); ++i) {
+      const bist::WideMisr misr(ready.domain_bist[i].odc.misr_length);
+      const auto diff = [&](const std::vector<uint64_t>& x,
+                            const std::vector<uint64_t>& y) {
+        std::vector<uint64_t> out(x.size());
+        for (size_t w = 0; w < x.size(); ++w) out[w] = x[w] ^ y[w];
+        return out;
+      };
+      std::vector<uint64_t> prev(misr.numSegments(), 0);
+      bool failed = false;
+      for (size_t c = 0; c <= n; ++c) {
+        const std::vector<uint64_t> d =
+            c < n ? diff(g.checkpoints[c].domain_words[i],
+                         b.checkpoints[c].domain_words[i])
+                  : diff(g.signature_words[i], b.signature_words[i]);
+        const uint64_t cycles =
+            c < n ? static_cast<uint64_t>(interval) * shift
+                  : static_cast<uint64_t>(opts.patterns -
+                                          static_cast<int64_t>(n) * interval) *
+                            shift +
+                        shift;
+        if (d != misr.advance(prev, cycles)) dirty[c] = 1;
+        failed |= std::any_of(d.begin(), d.end(),
+                              [](uint64_t w) { return w != 0; });
+        prev = d;
+      }
+      if (failing_domains != nullptr && failed) (*failing_domains)[i] = 1;
+    }
+    return dirty;
+  }
+  Syndrome syndrome(const Netlist& die) const {
+    Syndrome s;
+    s.patterns = opts.patterns;
+    s.signature_interval = opts.signature_interval;
+    const core::SessionOptions o =
+        session(opts.patterns, opts.signature_interval);
+    s.dirty_windows = dirtyWindows(run(ready.netlist, o), run(die, o),
+                                   opts.signature_interval,
+                                   &s.failing_domains);
+    if (opts.exact_pattern_replay) {
+      const core::SessionOptions o1 = session(opts.patterns, 1);
+      const std::vector<uint8_t> fine = dirtyWindows(
+          run(ready.netlist, o1), run(die, o1), 1, nullptr);
+      for (size_t w = 1; w < fine.size(); ++w) {
+        if (fine[w] != 0) {
+          s.failing_patterns.push_back(static_cast<int64_t>(w) - 1);
+        }
+      }
+    }
+    if (!s.failing_patterns.empty()) {
+      s.first_failing_pattern = s.failing_patterns.front();
+      return s;
+    }
+    for (int64_t p = 0; p < opts.patterns; ++p) {
+      const core::SessionOptions t = session(p + 1, 0);
+      if (run(ready.netlist, t).signature_words != run(die, t).signature_words) {
+        s.first_failing_pattern = p;
+        break;
+      }
+    }
+    return s;
+  }
+  /// Whether injecting `f` reproduces the die's interval run.
+  bool confirms(const fault::Fault& f, const Netlist& die) const {
+    Netlist copy = ready.netlist;
+    fault::injectStuckAt(copy, f);
+    const core::SessionOptions o =
+        session(opts.patterns, opts.signature_interval);
+    const core::SessionResult want = run(die, o);
+    const core::SessionResult got = run(copy, o);
+    return got.signature_words == want.signature_words &&
+           got.checkpoints == want.checkpoints;
+  }
+};
+
+TEST(Diagnoser, DiagnoseDieMatchesTheInjectionReference) {
+  // Dies of a generated three-domain core, in the exact-replay and the
+  // windows-only flow. diagnoseDie runs the golden once at interval 1,
+  // the die once, and confirms candidates in one lane pass; its syndrome,
+  // candidate list, scores and confirmed flags must equal what separate
+  // one-machine runs and injected dies give.
+  gen::IpCoreSpec spec;
+  spec.seed = 18;
+  spec.target_comb_gates = 500;
+  spec.target_ffs = 48;
+  spec.num_inputs = 8;
+  spec.num_outputs = 8;
+  spec.num_domains = 3;
+  const core::BistReadyCore ready = makeCore(gen::generateIpCore(spec), 6);
+  ASSERT_EQ(ready.domain_bist.size(), 3u);
+  for (bool exact : {true, false}) {
+    DiagnosisOptions opts = baseOptions(16, 1);
+    opts.patterns = 64;
+    opts.exact_pattern_replay = exact;
+    Diagnoser diag(ready, opts);
+    const InjectionReference ref{ready, opts};
+    const ResponseDictionary& dict = diag.dictionary();
+    std::vector<size_t> detected;
+    for (size_t fi = 0; fi < dict.faults(); ++fi) {
+      if (dict.firstDetection(fi) >= 0) detected.push_back(fi);
+    }
+    std::mt19937_64 rng(18);
+    size_t confirmed = 0;
+    for (int k = 0; k < 6; ++k) {
+      const fault::Fault& f =
+          diag.faults().record(detected[rng() % detected.size()]).fault;
+      const std::string what = (exact ? "exact, " : "windows, ") +
+                               f.describe(ready.netlist);
+      Netlist die = ready.netlist;
+      fault::injectStuckAt(die, f);
+      const Diagnosis d = diag.diagnoseDie(die);
+      const Syndrome want = ref.syndrome(die);
+      ASSERT_TRUE(d.failed) << what;
+      EXPECT_EQ(d.syndrome.dirty_windows, want.dirty_windows) << what;
+      EXPECT_EQ(d.syndrome.failing_domains, want.failing_domains) << what;
+      EXPECT_EQ(d.syndrome.failing_patterns, want.failing_patterns) << what;
+      EXPECT_EQ(d.syndrome.first_failing_pattern, want.first_failing_pattern)
+          << what;
+
+      // The reference ranking: match the reference syndrome, confirm the
+      // top ten by injection, move the confirmed ones first.
+      std::vector<Candidate> cands = diag.diagnoseSyndrome(want).candidates;
+      for (size_t i = 0; i < std::min<size_t>(10, cands.size()); ++i) {
+        cands[i].confirmed = ref.confirms(cands[i].fault, die);
+      }
+      std::stable_sort(cands.begin(), cands.end(),
+                       [](const Candidate& a, const Candidate& b) {
+                         return a.confirmed && !b.confirmed;
+                       });
+      ASSERT_EQ(d.candidates.size(), cands.size()) << what;
+      for (size_t i = 0; i < cands.size(); ++i) {
+        EXPECT_EQ(d.candidates[i].fault_index, cands[i].fault_index) << what;
+        EXPECT_EQ(d.candidates[i].score, cands[i].score) << what;
+        EXPECT_EQ(d.candidates[i].confirmed, cands[i].confirmed) << what;
+        confirmed += cands[i].confirmed ? 1 : 0;
+      }
+    }
+    EXPECT_GT(confirmed, 0u) << "no candidate confirmed: the test is vacuous";
+  }
+}
+
+TEST(Diagnoser, DomainFilterHoldsPastThirtyTwoDomains) {
+  // A generated core with 34 clock domains, one chain each (equal
+  // periods keep the at-speed timing valid). Syndromes that name only
+  // domain 32 or 33 as failing may keep only candidates that can reach
+  // that domain's MISR, by a sequential backward closure from its scan
+  // cells' D pins that the test computes itself.
+  gen::IpCoreSpec spec;
+  spec.seed = 34;
+  spec.target_comb_gates = 700;
+  spec.target_ffs = 136;
+  spec.num_inputs = 8;
+  spec.num_outputs = 8;
+  spec.num_domains = 34;
+  spec.domain_periods_ps.assign(34, 4'000);
+  spec.num_xsources = 0;
+  spec.num_noscan_ffs = 0;
+  const core::BistReadyCore ready = makeCore(gen::generateIpCore(spec), 34);
+  ASSERT_EQ(ready.domain_bist.size(), 34u);
+  const Netlist& nl = ready.netlist;
+
+  const auto reach = [&](size_t domain) {
+    std::vector<uint8_t> seen(nl.numGates(), 0);
+    std::vector<GateId> stack;
+    for (size_t ci : ready.domain_bist[domain].chain_indices) {
+      for (GateId cell : ready.scan.chains[ci].cells) {
+        stack.push_back(nl.gate(cell).fanins[0]);
+      }
+    }
+    while (!stack.empty()) {
+      const GateId g = stack.back();
+      stack.pop_back();
+      if (seen[g.v] != 0) continue;
+      seen[g.v] = 1;
+      for (GateId f : nl.gate(g).fanins) stack.push_back(f);
+    }
+    return seen;
+  };
+  const auto reaches = [&](const fault::Fault& f, size_t domain,
+                           const std::vector<uint8_t>& seen) {
+    if (seen[f.gate.v] != 0) return true;
+    if (f.pin == fault::kOutputPin ||
+        nl.gate(f.gate).kind != CellKind::kDff) {
+      return false;
+    }
+    for (size_t ci : ready.domain_bist[domain].chain_indices) {
+      const auto& cells = ready.scan.chains[ci].cells;
+      if (std::find(cells.begin(), cells.end(), f.gate) != cells.end()) {
+        return true;
+      }
+    }
+    return false;
+  };
+
+  DiagnosisOptions opts = baseOptions(16, 1);
+  opts.patterns = 64;
+  opts.max_candidates = ~size_t{0};
+  Diagnoser diag(ready, opts);
+  const ResponseDictionary& dict = diag.dictionary();
+  size_t kept = 0;
+  for (size_t domain : {size_t{32}, size_t{33}}) {
+    const std::vector<uint8_t> seen = reach(domain);
+    size_t syndromes = 0;
+    for (size_t fi = 0; fi < dict.faults() && syndromes < 20; ++fi) {
+      if (dict.firstDetection(fi) < 0) continue;
+      ++syndromes;
+      Syndrome syn = diag.syndromeForFault(fi);
+      syn.failing_domains.assign(34, 0);
+      syn.failing_domains[domain] = 1;
+      const Diagnosis d = diag.diagnoseSyndrome(syn);
+      for (const Candidate& c : d.candidates) {
+        ASSERT_TRUE(reaches(c.fault, domain, seen))
+            << c.description << " cannot reach domain " << domain;
+      }
+      kept += d.candidates.size();
+    }
+    EXPECT_EQ(syndromes, 20u);
+  }
+  EXPECT_GT(kept, 0u) << "no syndrome kept a candidate: the test is vacuous";
 }
 
 TEST(Diagnoser, TransitionUniverseDiagnosesFromSyndrome) {

@@ -64,6 +64,37 @@ TEST(Tap, UnknownOpcodeSelectsBypass) {
   }
 }
 
+TEST(Tap, ThirtyTwoBitIrSelectsThroughShiftAndUpdate) {
+  // The widest IR the controller accepts: BYPASS is all 32 ones, and a
+  // bound opcode reaches the IR through Shift-IR and Update-IR intact.
+  TapController tap(32, 0xDEADBEEF);
+  EXPECT_EQ(tap.bypassOpcode(), 0xFFFFFFFFu);
+  std::vector<uint8_t> stored(8, 0);
+  CallbackRegister reg(
+      8, [&] { return stored; },
+      [&](const std::vector<uint8_t>& b) { stored = b; });
+  tap.bindInstruction(0x80000005u, "WIDE", &reg);
+
+  TapDriver driver(tap);
+  driver.reset();
+  EXPECT_EQ(tap.currentInstructionName(), "IDCODE");
+  driver.loadInstruction(0x80000005u);
+  EXPECT_EQ(tap.currentInstruction(), 0x80000005u);
+  EXPECT_EQ(tap.currentInstructionName(), "WIDE");
+  const std::vector<uint8_t> value{1, 1, 0, 1, 0, 0, 1, 0};
+  driver.shiftData(value);
+  EXPECT_EQ(stored, value);
+
+  driver.loadInstruction(0x5);
+  EXPECT_EQ(tap.currentInstruction(), 0x5u);
+  EXPECT_EQ(tap.currentInstructionName(), "BYPASS");
+  driver.loadInstruction(tap.idcodeOpcode());
+  EXPECT_EQ(tap.currentInstructionName(), "IDCODE");
+  driver.loadInstruction(tap.bypassOpcode());
+  EXPECT_EQ(tap.currentInstruction(), 0xFFFFFFFFu);
+  EXPECT_EQ(tap.currentInstructionName(), "BYPASS");
+}
+
 TEST(Tap, CallbackRegisterRoundTrip) {
   TapController tap(4, 0x1);
   std::vector<uint8_t> stored(8, 0);
