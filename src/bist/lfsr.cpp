@@ -188,7 +188,9 @@ std::vector<uint64_t> WideMisr::signatureWords() const {
   return words;
 }
 
-std::string WideMisr::signatureHex() const { return hex(signatureWords()); }
+std::string WideMisr::signatureHex() const {
+  return hex(signatureWords());
+}
 
 std::string WideMisr::hex(std::span<const uint64_t> words) {
   static constexpr char kHex[] = "0123456789abcdef";

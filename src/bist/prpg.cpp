@@ -169,7 +169,9 @@ std::vector<uint64_t> LaneOdc::signature(int lane) const {
   return words;
 }
 
-void LaneOdc::reset() { std::fill(cells_.begin(), cells_.end(), 0); }
+void LaneOdc::reset() {
+  std::fill(cells_.begin(), cells_.end(), 0);
+}
 
 void InputSelector::setExternalSlice(std::span<const uint8_t> bits) {
   if (bits.size() != external_.size()) {

@@ -49,12 +49,14 @@ BistSession::ShiftProgram BistSession::buildShiftProgram() const {
   std::vector<uint8_t> forced(nl.numGates(), 0);
   for (GateId g : forced_gates) forced[g.v] = 1;
   const auto eval3 = [&](std::vector<uint8_t>& vals) {
-    if (forced_gates.empty()) return cn.eval3(vals.data());
+    if (forced_gates.empty()) {
+      cn.eval3(vals.data());
+      return;
+    }
+    const auto read = [&](size_t, uint32_t f) { return vals[f]; };
     for (uint32_t op = 0; op < cn.numOps(); ++op) {
       const uint32_t g = cn.opGate(op);
-      vals[g] = forced[g] != 0 ? kX3 : cn.evalOp3(op, [&](size_t, uint32_t f) {
-        return vals[f];
-      });
+      vals[g] = forced[g] != 0 ? kX3 : cn.evalOp3(op, read);
     }
   };
 
@@ -78,9 +80,8 @@ BistSession::ShiftProgram BistSession::buildShiftProgram() const {
   // The select of an unforced MUX in `vals`, or kX3 for any other gate.
   const auto select = [&](GateId id, const std::vector<uint8_t>& vals) {
     const Gate& g = nl.gate(id);
-    return g.kind == CellKind::kMux2 && forced[id.v] == 0
-               ? vals[g.fanins[2].v]
-               : kX3;
+    if (g.kind != CellKind::kMux2 || forced[id.v] != 0) return kX3;
+    return vals[g.fanins[2].v];
   };
 
   // Live flops: those whose state can reach a MISR. Walk back from the
@@ -127,8 +128,10 @@ BistSession::ShiftProgram BistSession::buildShiftProgram() const {
   };
   for (GateId dff : live) {
     GateId from = nl.gate(dff).fanins[0];
-    for (uint8_t sel; (sel = select(from, shift)) != kX3;) {
+    uint8_t sel = select(from, shift);
+    while (sel != kX3) {
       from = nl.gate(from).fanins[sel];
+      sel = select(from, shift);
     }
     program.loads.push_back({dff, from});
     need(from);
@@ -192,8 +195,8 @@ std::vector<SessionResult> BistSession::run(
       throw std::invalid_argument(
           "BistSession::run: only stuck-at faults can be forced");
     }
-    forces.push_back({f.gate, f.pin, f.type == fault::FaultType::kStuckAt1,
-                      uint64_t{1} << (k + 1)});
+    const bool one = f.type == fault::FaultType::kStuckAt1;
+    forces.push_back({f.gate, f.pin, one, uint64_t{1} << (k + 1)});
   }
   sim_.setForces(forces);
   const ShiftProgram pass_program =
@@ -280,8 +283,9 @@ std::vector<SessionResult> BistSession::run(
     res.capture_pulses = ctrl.capturePulses();
     res.session_ps = session_ps;
     for (const bist::LaneOdc& odc : odcs_) {
-      res.signature_words.push_back(odc.signature(static_cast<int>(lane)));
-      res.signatures.push_back(bist::WideMisr::hex(res.signature_words.back()));
+      std::vector<uint64_t> words = odc.signature(static_cast<int>(lane));
+      res.signatures.push_back(bist::WideMisr::hex(words));
+      res.signature_words.push_back(std::move(words));
     }
     ctrl.setSignatureMatch(golden != nullptr &&
                            res.signatures == golden->signatures);

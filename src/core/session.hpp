@@ -140,7 +140,8 @@ class BistSession {
   std::vector<bist::LaneOdc> odcs_;
   std::vector<std::vector<uint8_t>> slice_;      // per domain, per chain
   std::vector<std::vector<uint64_t>> so_words_;  // per domain, per chain
-  ShiftProgram die_program_;  // the zero-fault pass's program
+  // The zero-fault pass's shift program.
+  ShiftProgram die_program_;
 };
 
 }  // namespace lbist::core

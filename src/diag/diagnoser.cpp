@@ -182,9 +182,8 @@ Syndrome Diagnoser::extractSyndrome(
   return s;
 }
 
-int64_t Diagnoser::binarySearchFirstFail(core::BistSession& die,
-                                         int64_t lo, int64_t hi,
-                                         size_t& session_runs) {
+int64_t Diagnoser::binarySearchFirstFail(core::BistSession& die, int64_t lo,
+                                         int64_t hi, size_t& session_runs) {
   // fail(p): does truncating the session after pattern p already show a
   // signature mismatch? Monotone in p (MISR errors persist), so the
   // first failing pattern is the boundary. Only the die replays: its
@@ -198,10 +197,11 @@ int64_t Diagnoser::binarySearchFirstFail(core::BistSession& die,
     o.patterns = p + 1;
     const core::SessionResult b = die.run(o);
     ++session_runs;
-    return b.signature_words !=
-           (p + 1 < opts_.patterns
-                ? golden.checkpoints[static_cast<size_t>(p + 1)].domain_words
-                : golden.signature_words);
+    const auto next = static_cast<size_t>(p + 1);
+    if (next == golden.checkpoints.size()) {
+      return b.signature_words != golden.signature_words;
+    }
+    return b.signature_words != golden.checkpoints[next].domain_words;
   };
   while (lo < hi) {
     const int64_t mid = lo + (hi - lo) / 2;
@@ -391,8 +391,9 @@ Diagnosis Diagnoser::diagnoseDie(const Netlist& bad_die) {
       windowView(die_run, opts_.signature_interval);
   d.session_runs = golden_cached ? 1 : 2;
 
-  d.syndrome = extractSyndrome(windowView(golden, opts_.signature_interval),
-                               failing);
+  const core::SessionResult golden_windows =
+      windowView(golden, opts_.signature_interval);
+  d.syndrome = extractSyndrome(golden_windows, failing);
   d.failed = d.syndrome.anyDirty();
   if (!d.failed) {
     d.total_seconds =

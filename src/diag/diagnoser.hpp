@@ -188,8 +188,7 @@ class Diagnoser {
   void confirmCandidates(const core::SessionResult& observed,
                          Diagnosis& out);
   /// Whether `f` can corrupt DomainBist `domain`'s signature.
-  [[nodiscard]] bool reachesDomain(const fault::Fault& f,
-                                   size_t domain) const;
+  [[nodiscard]] bool reachesDomain(const fault::Fault& f, size_t domain) const;
 
   const core::BistReadyCore* core_;
   DiagnosisOptions opts_;

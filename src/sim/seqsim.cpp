@@ -41,40 +41,38 @@ void SeqSimulator::setForces(std::span<const Force> forces) {
     bool value;
     uint64_t lanes;
   };
+  const auto by_gate = [](const Site& a, const Site& b) {
+    return a.gate < b.gate;
+  };
   std::vector<Site> sites;
-  // Sources forced at the stem, by gate: every pin reading one is forced.
-  std::vector<Site> sources;
+  // Sources forced at the stem: every pin reading one is forced.
+  std::vector<Site> stems;
   for (const Force& f : forces) {
     const Gate& g = nl.gate(f.gate);
     if (f.pin != kStem && f.pin >= g.fanins.size()) {
       throw std::invalid_argument("SeqSimulator::setForces: no such pin");
     }
     if (f.pin == kStem && !isCombinational(g.kind)) {
-      sources.push_back({f.gate, f.pin, f.value, f.lanes});
+      stems.push_back({f.gate, f.pin, f.value, f.lanes});
     } else {
       sites.push_back({f.gate, f.pin, f.value, f.lanes});
     }
   }
-  if (!sources.empty()) {
-    const auto by_gate = [](const Site& a, const Site& b) {
-      return a.gate < b.gate;
-    };
-    std::sort(sources.begin(), sources.end(), by_gate);
+  if (!stems.empty()) {
+    std::sort(stems.begin(), stems.end(), by_gate);
     nl.forEachGate([&](GateId id, const Gate& g) {
       for (size_t slot = 0; slot < g.fanins.size(); ++slot) {
         const Site key{g.fanins[slot], kStem, false, 0};
-        for (auto it = std::lower_bound(sources.begin(), sources.end(), key,
-                                        by_gate);
-             it != sources.end() && it->gate == key.gate; ++it) {
-          sites.push_back(
-              {id, static_cast<uint8_t>(slot), it->value, it->lanes});
+        const auto pin = static_cast<uint8_t>(slot);
+        auto it = std::lower_bound(stems.begin(), stems.end(), key, by_gate);
+        for (; it != stems.end() && it->gate == key.gate; ++it) {
+          sites.push_back({id, pin, it->value, it->lanes});
         }
       }
     });
   }
 
-  std::stable_sort(sites.begin(), sites.end(),
-                   [](const Site& a, const Site& b) { return a.gate < b.gate; });
+  std::stable_sort(sites.begin(), sites.end(), by_gate);
   for (const Site& s : sites) {
     const Gate& g = nl.gate(s.gate);
     if (g.kind == CellKind::kDff) {
@@ -84,8 +82,7 @@ void SeqSimulator::setForces(std::span<const Force> forces) {
       forced_loads_.back().d.add(s.lanes, s.value);
       continue;
     }
-    if (forced_ops_.empty() ||
-        forced_ops_.back().op != cn.opOf(s.gate)) {
+    if (forced_ops_.empty() || forced_ops_.back().op != cn.opOf(s.gate)) {
       forced_ops_.push_back({cn.opOf(s.gate), {}, {}});
     }
     ForcedOp& f = forced_ops_.back();
@@ -115,15 +112,14 @@ std::vector<GateId> SeqSimulator::forcedGates() const {
 
 uint64_t SeqSimulator::evalForcedOp(const ForcedOp& f,
                                     const uint64_t* v) const {
-  const uint64_t w = sim_.compiled().evalOp(
-      f.op, [&](size_t slot, uint32_t g) {
-        uint64_t x = v[g];
-        for (const auto& [s, c] : f.pins) {
-          if (s == slot) x = c.apply(x);
-        }
-        return x;
-      });
-  return f.out.apply(w);
+  const auto forced = [&](size_t slot, uint32_t g) {
+    uint64_t x = v[g];
+    for (const auto& [s, c] : f.pins) {
+      if (s == slot) x = c.apply(x);
+    }
+    return x;
+  };
+  return f.out.apply(sim_.compiled().evalOp(f.op, forced));
 }
 
 void SeqSimulator::evalForced() {
@@ -164,8 +160,7 @@ void SeqSimulator::pulse(std::span<const DomainId> domains) {
   }
   // Every flop of a pulsed domain just loaded its D pin.
   for (const ForcedLoad& f : forced_loads_) {
-    if (std::find(domains.begin(), domains.end(), f.domain) !=
-        domains.end()) {
+    if (std::find(domains.begin(), domains.end(), f.domain) != domains.end()) {
       sim_.setSource(f.dff, f.d.apply(sim_.value(f.dff)));
     }
   }
@@ -194,9 +189,8 @@ void SeqSimulator::pulseOps(std::span<const uint32_t> ops,
     auto f = forced_ops_.begin();
     for (uint32_t op : ops) {
       while (f != forced_ops_.end() && f->op < op) ++f;
-      v[cn.opGate(op)] = f != forced_ops_.end() && f->op == op
-                             ? evalForcedOp(*f, v)
-                             : cn.evalOp(op, plain);
+      const bool forced = f != forced_ops_.end() && f->op == op;
+      v[cn.opGate(op)] = forced ? evalForcedOp(*f, v) : cn.evalOp(op, plain);
     }
     auto d = forced_loads_.begin();
     for (size_t i = 0; i < loads.size(); ++i) {

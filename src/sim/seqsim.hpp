@@ -140,8 +140,9 @@ class SeqSimulator {
   Simulator2v sim_;
   std::vector<std::vector<GateId>> dffs_by_domain_;
   std::vector<uint64_t> next_;  // captured D values, one per loaded DFF
-  std::vector<ForcedOp> forced_ops_;      // ascending op
-  std::vector<ForcedLoad> forced_loads_;  // ascending flop
+  // The forces in effect, in ascending op and flop order.
+  std::vector<ForcedOp> forced_ops_;
+  std::vector<ForcedLoad> forced_loads_;
 };
 
 /// Three-valued counterpart of SeqSimulator (power-on X analysis,

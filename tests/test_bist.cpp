@@ -344,13 +344,13 @@ TEST(LaneOdc, EveryLaneMatchesAScalarOdc) {
   // segments, with and without the space compactor.
   std::mt19937_64 rng(18);
   for (bool compactor : {false, true}) {
+    SCOPED_TRACE(compactor ? "compactor" : "no compactor");
     for (int length = 2; length <= 130; ++length) {
       OdcConfig cfg;
       cfg.misr_length = length;
       cfg.use_compactor = compactor;
-      cfg.chains = 1 + static_cast<int>(
-                           rng() % static_cast<uint64_t>(
-                                       compactor ? 2 * length : length));
+      const uint64_t max_chains = compactor ? 2 * length : length;
+      cfg.chains = 1 + static_cast<int>(rng() % max_chains);
       LaneOdc lanes(cfg);
       std::vector<Odc> scalar(64, Odc(cfg));
       std::vector<uint64_t> words(static_cast<size_t>(cfg.chains));
@@ -370,10 +370,9 @@ TEST(LaneOdc, EveryLaneMatchesAScalarOdc) {
         }
       }
       for (int lane = 0; lane < 64; ++lane) {
-        ASSERT_EQ(lanes.signature(lane),
-                  scalar[static_cast<size_t>(lane)].signature())
-            << "length " << length << ", chains " << cfg.chains
-            << (compactor ? ", compactor" : "") << ", lane " << lane;
+        const Odc& want = scalar[static_cast<size_t>(lane)];
+        ASSERT_EQ(lanes.signature(lane), want.signature())
+            << "length " << length << ", lane " << lane;
       }
     }
   }

@@ -330,8 +330,7 @@ TEST(Session, ShiftPulsesMatchTheFullEvalReference) {
 /// netlist, in single and double capture at interval 1, each lane
 /// checked against fault::injectStuckAt plus a one-machine session.
 void expectLanesMatchInjection(const BistReadyCore& ready,
-                               const fault::FaultList& fl,
-                               int64_t patterns) {
+                               const fault::FaultList& fl, int64_t patterns) {
   for (bool double_capture : {false, true}) {
     SessionOptions opts;
     opts.patterns = patterns;
@@ -356,15 +355,13 @@ void expectLanesMatchInjection(const BistReadyCore& ready,
       ASSERT_EQ(got.finish, want.finish) << what;
       ASSERT_EQ(got.result_pass, want.result_pass) << what;
     };
-    for (size_t begin = 0; begin < fl.size();
-         begin += BistSession::kMaxFaults) {
+    constexpr size_t kPass = BistSession::kMaxFaults;
+    for (size_t begin = 0; begin < fl.size(); begin += kPass) {
       std::vector<fault::Fault> faults;
-      for (size_t i = begin;
-           i < fl.size() && faults.size() < BistSession::kMaxFaults; ++i) {
+      for (size_t i = begin; i < std::min(fl.size(), begin + kPass); ++i) {
         faults.push_back(fl.record(i).fault);
       }
-      const std::vector<SessionResult> got =
-          lanes.run(opts, faults, &golden);
+      const std::vector<SessionResult> got = lanes.run(opts, faults, &golden);
       ASSERT_EQ(got.size(), faults.size() + 1);
       expectSame(got[0], lanes.run(opts, &golden), mode + "die lane");
       for (size_t k = 0; k < faults.size(); ++k) {
@@ -419,11 +416,13 @@ TEST(Session, LanesFollowAFaultThatRevivesADeadFlop) {
   cfg.test_points = 0;
   const BistReadyCore ready = buildBistReadyCore(nl, cfg);
   ASSERT_EQ(ready.xbound.blocking_gates.size(), 1u);
-  const fault::Fault revive{ready.xbound.blocking_gates[0], 1,
-                            fault::FaultType::kStuckAt1};
+  const GateId blocking = ready.xbound.blocking_gates[0];
+  const fault::Fault revive{blocking, 1, fault::FaultType::kStuckAt1};
   const fault::FaultList fl = uncollapsedStuckAt(ready.netlist);
   bool listed = false;
-  for (size_t i = 0; i < fl.size(); ++i) listed |= fl.record(i).fault == revive;
+  for (size_t i = 0; i < fl.size(); ++i) {
+    listed = listed || fl.record(i).fault == revive;
+  }
   ASSERT_TRUE(listed);
   expectLanesMatchInjection(ready, fl, 8);
 }
@@ -445,14 +444,13 @@ TEST(Session, CoarseAndTruncatedRunsAreViewsOfTheIntervalOneRun) {
   }
   constexpr int64_t kPatterns = 12;
   for (bool double_capture : {false, true}) {
+    SCOPED_TRACE(double_capture ? "double capture" : "single capture");
     SessionOptions opts;
     bist::AtSpeedTimingConfig timing = ready.config.timing;
     timing.double_capture = double_capture;
     opts.timing_override = timing;
     for (size_t i = 0; i < dies.size(); ++i) {
-      const std::string what = (double_capture ? "double" : "single") +
-                               std::string(" capture, die ") +
-                               std::to_string(i);
+      SCOPED_TRACE("die " + std::to_string(i));
       BistSession session(ready, dies[i]);
       opts.patterns = kPatterns;
       opts.signature_interval = 1;
@@ -465,20 +463,20 @@ TEST(Session, CoarseAndTruncatedRunsAreViewsOfTheIntervalOneRun) {
         for (const SignatureCheckpoint& cp : fine.checkpoints) {
           if (cp.patterns_done % interval == 0) picked.push_back(cp);
         }
-        EXPECT_EQ(coarse.checkpoints, picked) << what << ", interval "
-                                              << interval;
-        EXPECT_EQ(coarse.signature_words, fine.signature_words) << what;
+        EXPECT_EQ(coarse.checkpoints, picked) << "interval " << interval;
+        EXPECT_EQ(coarse.signature_words, fine.signature_words);
       }
+      // ends[p]: the signature a run truncated after p + 1 patterns ends on.
+      std::vector<std::vector<std::vector<uint64_t>>> ends;
+      for (size_t c = 1; c < fine.checkpoints.size(); ++c) {
+        ends.push_back(fine.checkpoints[c].domain_words);
+      }
+      ends.push_back(fine.signature_words);
       opts.signature_interval = 0;
-      for (int64_t p = 0; p < kPatterns; ++p) {
-        opts.patterns = p + 1;
-        const SessionResult truncated = session.run(opts);
-        EXPECT_EQ(truncated.signature_words,
-                  p + 1 < kPatterns
-                      ? fine.checkpoints[static_cast<size_t>(p + 1)]
-                            .domain_words
-                      : fine.signature_words)
-            << what << ", truncated after " << p + 1 << " patterns";
+      for (size_t p = 0; p < ends.size(); ++p) {
+        opts.patterns = static_cast<int64_t>(p) + 1;
+        EXPECT_EQ(session.run(opts).signature_words, ends[p])
+            << "truncated after " << p + 1 << " patterns";
       }
     }
   }
@@ -489,15 +487,12 @@ TEST(Session, LanePassRejectsWhatItCannotForce) {
   BistSession session(ready, ready.netlist);
   SessionOptions opts;
   opts.patterns = 1;
-  const fault::Fault stuck{ready.scan.se_port, fault::kOutputPin,
-                           fault::FaultType::kStuckAt0};
-  const std::vector<fault::Fault> too_many(BistSession::kMaxFaults + 1,
-                                           stuck);
+  const fault::Fault stuck{ready.scan.se_port};
+  const std::vector<fault::Fault> too_many(BistSession::kMaxFaults + 1, stuck);
   EXPECT_THROW((void)session.run(opts, too_many), std::invalid_argument);
-  fault::Fault slow = stuck;
-  slow.type = fault::FaultType::kSlowToRise;
-  EXPECT_THROW((void)session.run(opts, std::vector<fault::Fault>{slow}),
-               std::invalid_argument);
+  const std::vector<fault::Fault> slow{
+      {ready.scan.se_port, fault::kOutputPin, fault::FaultType::kSlowToRise}};
+  EXPECT_THROW((void)session.run(opts, slow), std::invalid_argument);
 }
 
 TEST(Session, IntactDieShiftsEvaluateNoOps) {

@@ -250,76 +250,65 @@ struct InjectionReference {
   const core::BistReadyCore& ready;
   DiagnosisOptions opts;
 
-  core::SessionOptions session(int64_t patterns, int64_t interval) const {
+  /// A one-machine single-capture run of `die`.
+  core::SessionResult run(const Netlist& die, int64_t patterns,
+                          int64_t interval) const {
     core::SessionOptions o;
     o.patterns = patterns;
     o.signature_interval = interval;
     bist::AtSpeedTimingConfig timing = ready.config.timing;
     timing.double_capture = false;
     o.timing_override = timing;
-    return o;
-  }
-  core::SessionResult run(const Netlist& die,
-                          const core::SessionOptions& o) const {
     core::BistSession session(ready, die);
     return session.run(o);
   }
-  /// Dirty windows of `b` against `g` (interval runs of one length);
-  /// fills `failing_domains` when non-null.
+
+  /// Dirty windows of die run `b` against golden run `g`, both at
+  /// `interval`; marks in `failing` each domain whose signature differs.
   std::vector<uint8_t> dirtyWindows(const core::SessionResult& g,
                                     const core::SessionResult& b,
                                     int64_t interval,
-                                    std::vector<uint8_t>* failing_domains) const {
-    const auto shift =
-        static_cast<uint64_t>(ready.shiftCyclesPerPattern());
+                                    std::vector<uint8_t>& failing) const {
+    const auto shift = static_cast<uint64_t>(ready.shiftCyclesPerPattern());
     const size_t n = g.checkpoints.size();
+    const auto k = static_cast<uint64_t>(interval);
+    // The final signature adds the patterns past the last checkpoint and
+    // the unload window.
+    const uint64_t tail = static_cast<uint64_t>(opts.patterns) - n * k + 1;
     std::vector<uint8_t> dirty(n + 1, 0);
-    if (failing_domains != nullptr) {
-      failing_domains->assign(ready.domain_bist.size(), 0);
-    }
+    failing.assign(ready.domain_bist.size(), 0);
     for (size_t i = 0; i < ready.domain_bist.size(); ++i) {
       const bist::WideMisr misr(ready.domain_bist[i].odc.misr_length);
-      const auto diff = [&](const std::vector<uint64_t>& x,
-                            const std::vector<uint64_t>& y) {
-        std::vector<uint64_t> out(x.size());
-        for (size_t w = 0; w < x.size(); ++w) out[w] = x[w] ^ y[w];
-        return out;
+      const auto words = [&](const core::SessionResult& r, size_t c) {
+        return c < n ? r.checkpoints[c].domain_words[i] : r.signature_words[i];
       };
       std::vector<uint64_t> prev(misr.numSegments(), 0);
-      bool failed = false;
       for (size_t c = 0; c <= n; ++c) {
-        const std::vector<uint64_t> d =
-            c < n ? diff(g.checkpoints[c].domain_words[i],
-                         b.checkpoints[c].domain_words[i])
-                  : diff(g.signature_words[i], b.signature_words[i]);
-        const uint64_t cycles =
-            c < n ? static_cast<uint64_t>(interval) * shift
-                  : static_cast<uint64_t>(opts.patterns -
-                                          static_cast<int64_t>(n) * interval) *
-                            shift +
-                        shift;
-        if (d != misr.advance(prev, cycles)) dirty[c] = 1;
-        failed |= std::any_of(d.begin(), d.end(),
-                              [](uint64_t w) { return w != 0; });
+        std::vector<uint64_t> d = words(g, c);
+        const std::vector<uint64_t> bad = words(b, c);
+        for (size_t w = 0; w < d.size(); ++w) d[w] ^= bad[w];
+        if (d != misr.advance(prev, (c < n ? k : tail) * shift)) dirty[c] = 1;
+        if (d != std::vector<uint64_t>(d.size(), 0)) failing[i] = 1;
         prev = d;
       }
-      if (failing_domains != nullptr && failed) (*failing_domains)[i] = 1;
     }
     return dirty;
   }
+
+  /// The syndrome diagnoseDie should extract from `die`.
   Syndrome syndrome(const Netlist& die) const {
+    const int64_t n = opts.patterns;
+    const int64_t k = opts.signature_interval;
     Syndrome s;
-    s.patterns = opts.patterns;
-    s.signature_interval = opts.signature_interval;
-    const core::SessionOptions o =
-        session(opts.patterns, opts.signature_interval);
-    s.dirty_windows = dirtyWindows(run(ready.netlist, o), run(die, o),
-                                   opts.signature_interval,
-                                   &s.failing_domains);
+    s.patterns = n;
+    s.signature_interval = k;
+    const core::SessionResult golden = run(ready.netlist, n, k);
+    const core::SessionResult bad = run(die, n, k);
+    s.dirty_windows = dirtyWindows(golden, bad, k, s.failing_domains);
     if (opts.exact_pattern_replay) {
-      const core::SessionOptions o1 = session(opts.patterns, 1);
-      const std::vector<uint8_t> fine = dirtyWindows(
-          run(ready.netlist, o1), run(die, o1), 1, nullptr);
+      std::vector<uint8_t> unused;
+      const std::vector<uint8_t> fine =
+          dirtyWindows(run(ready.netlist, n, 1), run(die, n, 1), 1, unused);
       for (size_t w = 1; w < fine.size(); ++w) {
         if (fine[w] != 0) {
           s.failing_patterns.push_back(static_cast<int64_t>(w) - 1);
@@ -328,25 +317,24 @@ struct InjectionReference {
     }
     if (!s.failing_patterns.empty()) {
       s.first_failing_pattern = s.failing_patterns.front();
-      return s;
     }
-    for (int64_t p = 0; p < opts.patterns; ++p) {
-      const core::SessionOptions t = session(p + 1, 0);
-      if (run(ready.netlist, t).signature_words != run(die, t).signature_words) {
+    for (int64_t p = 0; p < n && s.first_failing_pattern < 0; ++p) {
+      const auto golden_sig = run(ready.netlist, p + 1, 0).signature_words;
+      if (golden_sig != run(die, p + 1, 0).signature_words) {
         s.first_failing_pattern = p;
-        break;
       }
     }
     return s;
   }
+
   /// Whether injecting `f` reproduces the die's interval run.
   bool confirms(const fault::Fault& f, const Netlist& die) const {
     Netlist copy = ready.netlist;
     fault::injectStuckAt(copy, f);
-    const core::SessionOptions o =
-        session(opts.patterns, opts.signature_interval);
-    const core::SessionResult want = run(die, o);
-    const core::SessionResult got = run(copy, o);
+    const int64_t n = opts.patterns;
+    const int64_t k = opts.signature_interval;
+    const core::SessionResult want = run(die, n, k);
+    const core::SessionResult got = run(copy, n, k);
     return got.signature_words == want.signature_words &&
            got.checkpoints == want.checkpoints;
   }
@@ -368,6 +356,7 @@ TEST(Diagnoser, DiagnoseDieMatchesTheInjectionReference) {
   const core::BistReadyCore ready = makeCore(gen::generateIpCore(spec), 6);
   ASSERT_EQ(ready.domain_bist.size(), 3u);
   for (bool exact : {true, false}) {
+    SCOPED_TRACE(exact ? "exact replay" : "windows only");
     DiagnosisOptions opts = baseOptions(16, 1);
     opts.patterns = 64;
     opts.exact_pattern_replay = exact;
@@ -383,18 +372,16 @@ TEST(Diagnoser, DiagnoseDieMatchesTheInjectionReference) {
     for (int k = 0; k < 6; ++k) {
       const fault::Fault& f =
           diag.faults().record(detected[rng() % detected.size()]).fault;
-      const std::string what = (exact ? "exact, " : "windows, ") +
-                               f.describe(ready.netlist);
+      SCOPED_TRACE(f.describe(ready.netlist));
       Netlist die = ready.netlist;
       fault::injectStuckAt(die, f);
       const Diagnosis d = diag.diagnoseDie(die);
       const Syndrome want = ref.syndrome(die);
-      ASSERT_TRUE(d.failed) << what;
-      EXPECT_EQ(d.syndrome.dirty_windows, want.dirty_windows) << what;
-      EXPECT_EQ(d.syndrome.failing_domains, want.failing_domains) << what;
-      EXPECT_EQ(d.syndrome.failing_patterns, want.failing_patterns) << what;
-      EXPECT_EQ(d.syndrome.first_failing_pattern, want.first_failing_pattern)
-          << what;
+      ASSERT_TRUE(d.failed);
+      EXPECT_EQ(d.syndrome.dirty_windows, want.dirty_windows);
+      EXPECT_EQ(d.syndrome.failing_domains, want.failing_domains);
+      EXPECT_EQ(d.syndrome.failing_patterns, want.failing_patterns);
+      EXPECT_EQ(d.syndrome.first_failing_pattern, want.first_failing_pattern);
 
       // The reference ranking: match the reference syndrome, confirm the
       // top ten by injection, move the confirmed ones first.
@@ -406,11 +393,11 @@ TEST(Diagnoser, DiagnoseDieMatchesTheInjectionReference) {
                        [](const Candidate& a, const Candidate& b) {
                          return a.confirmed && !b.confirmed;
                        });
-      ASSERT_EQ(d.candidates.size(), cands.size()) << what;
+      ASSERT_EQ(d.candidates.size(), cands.size());
       for (size_t i = 0; i < cands.size(); ++i) {
-        EXPECT_EQ(d.candidates[i].fault_index, cands[i].fault_index) << what;
-        EXPECT_EQ(d.candidates[i].score, cands[i].score) << what;
-        EXPECT_EQ(d.candidates[i].confirmed, cands[i].confirmed) << what;
+        EXPECT_EQ(d.candidates[i].fault_index, cands[i].fault_index);
+        EXPECT_EQ(d.candidates[i].score, cands[i].score);
+        EXPECT_EQ(d.candidates[i].confirmed, cands[i].confirmed);
         confirmed += cands[i].confirmed ? 1 : 0;
       }
     }
@@ -458,8 +445,7 @@ TEST(Diagnoser, DomainFilterHoldsPastThirtyTwoDomains) {
   const auto reaches = [&](const fault::Fault& f, size_t domain,
                            const std::vector<uint8_t>& seen) {
     if (seen[f.gate.v] != 0) return true;
-    if (f.pin == fault::kOutputPin ||
-        nl.gate(f.gate).kind != CellKind::kDff) {
+    if (f.pin == fault::kOutputPin || nl.gate(f.gate).kind != CellKind::kDff) {
       return false;
     }
     for (size_t ci : ready.domain_bist[domain].chain_indices) {
