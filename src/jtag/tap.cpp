@@ -221,7 +221,7 @@ void TapDriver::loadInstruction(uint32_t opcode) {
   // driver knows it via construction in practice; here track via opcode
   // width of bypass (all ones).
   uint32_t mask = tap_->bypassOpcode();
-  while (((mask >> len) & 1u) != 0 && len < n) ++len;
+  while (len < n && ((mask >> len) & 1u) != 0) ++len;
   for (int i = 0; i < len; ++i) {
     const bool last = i == len - 1;
     clock(last, ((opcode >> i) & 1u) != 0);
