@@ -49,10 +49,6 @@ BistSession::ShiftProgram BistSession::buildShiftProgram() const {
   std::vector<uint8_t> forced(nl.numGates(), 0);
   for (GateId g : forced_gates) forced[g.v] = 1;
   const auto eval3 = [&](std::vector<uint8_t>& vals) {
-    if (forced_gates.empty()) {
-      cn.eval3(vals.data());
-      return;
-    }
     const auto read = [&](size_t, uint32_t f) { return vals[f]; };
     for (uint32_t op = 0; op < cn.numOps(); ++op) {
       const uint32_t g = cn.opGate(op);

@@ -348,23 +348,15 @@ void Diagnoser::confirmCandidates(const core::SessionResult& observed,
   // One lane pass over the core replays every stuck-at candidate; each
   // lane counts as one session run, the machine it replaces.
   const size_t n = std::min(kConfirmTop, out.candidates.size());
-  std::vector<size_t> ranks;
   std::vector<fault::Fault> faults;
-  for (size_t k = 0; k < n; ++k) {
-    const fault::Fault& f = out.candidates[k].fault;
-    if (f.type == fault::FaultType::kStuckAt0 ||
-        f.type == fault::FaultType::kStuckAt1) {
-      ranks.push_back(k);
-      faults.push_back(f);
-    }
-  }
+  for (size_t k = 0; k < n; ++k) faults.push_back(out.candidates[k].fault);
   if (!faults.empty()) {
     const std::vector<core::SessionResult> lanes =
         coreSession().run(sessionOptions(), faults);
     out.session_runs += faults.size();
-    for (size_t i = 0; i < ranks.size(); ++i) {
-      const core::SessionResult& replay = lanes[i + 1];
-      out.candidates[ranks[i]].confirmed =
+    for (size_t k = 0; k < n; ++k) {
+      const core::SessionResult& replay = lanes[k + 1];
+      out.candidates[k].confirmed =
           replay.signature_words == observed.signature_words &&
           replay.checkpoints == observed.checkpoints;
     }

@@ -122,7 +122,7 @@ uint64_t SeqSimulator::evalForcedOp(const ForcedOp& f,
   return f.out.apply(sim_.compiled().evalOp(f.op, forced));
 }
 
-void SeqSimulator::evalForced() {
+void SeqSimulator::settle() {
   const CompiledNetlist& cn = sim_.compiled();
   uint64_t* v = sim_.rawValues().data();
   const auto plain = [&](size_t, uint32_t g) { return v[g]; };
@@ -134,14 +134,6 @@ void SeqSimulator::evalForced() {
   }
   const auto n = static_cast<uint32_t>(cn.numOps());
   for (; op < n; ++op) v[cn.opGate(op)] = cn.evalOp(op, plain);
-}
-
-void SeqSimulator::settle() {
-  if (forced_ops_.empty()) {
-    sim_.eval();
-  } else {
-    evalForced();
-  }
 }
 
 void SeqSimulator::pulse(std::span<const DomainId> domains) {
@@ -181,25 +173,20 @@ void SeqSimulator::pulseOps(std::span<const uint32_t> ops,
   uint64_t* v = sim_.rawValues().data();
   const auto plain = [&](size_t, uint32_t g) { return v[g]; };
   next_.resize(loads.size());
-  if (forced_ops_.empty() && forced_loads_.empty()) {
-    for (uint32_t op : ops) v[cn.opGate(op)] = cn.evalOp(op, plain);
-    for (size_t i = 0; i < loads.size(); ++i) next_[i] = v[loads[i].from.v];
-  } else {
-    // Both lists ascend, so one cursor each finds the forced entries.
-    auto f = forced_ops_.begin();
-    for (uint32_t op : ops) {
-      while (f != forced_ops_.end() && f->op < op) ++f;
-      const bool forced = f != forced_ops_.end() && f->op == op;
-      v[cn.opGate(op)] = forced ? evalForcedOp(*f, v) : cn.evalOp(op, plain);
-    }
-    auto d = forced_loads_.begin();
-    for (size_t i = 0; i < loads.size(); ++i) {
-      assert(i == 0 || loads[i - 1].dff < loads[i].dff);
-      next_[i] = v[loads[i].from.v];
-      while (d != forced_loads_.end() && d->dff < loads[i].dff) ++d;
-      if (d != forced_loads_.end() && d->dff == loads[i].dff) {
-        next_[i] = d->d.apply(next_[i]);
-      }
+  // Both lists ascend, so one cursor each finds the forced entries.
+  auto f = forced_ops_.begin();
+  for (uint32_t op : ops) {
+    while (f != forced_ops_.end() && f->op < op) ++f;
+    const bool forced = f != forced_ops_.end() && f->op == op;
+    v[cn.opGate(op)] = forced ? evalForcedOp(*f, v) : cn.evalOp(op, plain);
+  }
+  auto d = forced_loads_.begin();
+  for (size_t i = 0; i < loads.size(); ++i) {
+    assert(forced_loads_.empty() || i == 0 || loads[i - 1].dff < loads[i].dff);
+    next_[i] = v[loads[i].from.v];
+    while (d != forced_loads_.end() && d->dff < loads[i].dff) ++d;
+    if (d != forced_loads_.end() && d->dff == loads[i].dff) {
+      next_[i] = d->d.apply(next_[i]);
     }
   }
   for (size_t i = 0; i < loads.size(); ++i) v[loads[i].dff.v] = next_[i];

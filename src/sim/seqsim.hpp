@@ -15,8 +15,8 @@
 // simulation in the manner of PROOFS (Niermann, Cheng & Patel, IEEE
 // TCAD 1992). A force acts exactly as fault::injectStuckAt rewires a
 // netlist copy, so lane k of a forced run equals a one-machine run of
-// the die with lane k's faults injected. With no forces, pulse() and
-// pulseOps() run the plain loops.
+// the die with lane k's faults injected. A one-machine run is the
+// no-force case of the same loops.
 #pragma once
 
 #include <cstdint>
@@ -133,7 +133,6 @@ class SeqSimulator {
     LaneConst d;
   };
 
-  void evalForced();
   [[nodiscard]] uint64_t evalForcedOp(const ForcedOp& f,
                                       const uint64_t* v) const;
 
