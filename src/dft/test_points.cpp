@@ -135,11 +135,11 @@ TpiResult selectObservePointsFaultSim(const Netlist& nl,
   std::vector<uint8_t> observed_flag(nl.numGates(), 0);
   for (GateId o : obs) observed_flag[o.v] = 1;
 
-  fault::FaultSimulator fsim(nl, faults, obs);
-  fsim.classifyUntestable();
-
   // --- warm-up: drop everything random patterns can catch -----------------
+  // The warm-up simulator is freed before guidance builds its own.
   {
+    fault::FaultSimulator fsim(nl, faults, obs);
+    fsim.classifyUntestable();
     OBS_SPAN("dft.tpi_warmup");
     std::mt19937_64 rng(kSeed);
     for (int64_t base = 0; base < cfg.warmup_patterns; base += 64) {
@@ -164,9 +164,14 @@ TpiResult selectObservePointsFaultSim(const Netlist& nl,
     std::sort(undetected.begin(), undetected.end());
   }
 
+  // One simulator serves both passes. A reach observer turns class
+  // folding off, so it is built without a collapse map.
+  fault::FsimOptions guide_opts;
+  guide_opts.drop_detected = false;
+  guide_opts.collapse = false;
+  fault::FaultSimulator guide(nl, faults, obs, guide_opts);
+
   // --- pass A: reach counts --------------------------------------------------
-  fault::FaultSimulator guide(nl, faults, obs,
-                              fault::FsimOptions{1, /*drop=*/false});
   guide.restrictActiveSet(undetected);
   CountRecorder counter(nl.numGates());
   guide.setReachObserver(&counter);
@@ -194,16 +199,14 @@ TpiResult selectObservePointsFaultSim(const Netlist& nl,
   if (candidates.empty()) return result;
 
   // --- pass B: per-candidate cover bitsets -----------------------------------
-  fault::FaultSimulator cover_sim(nl, faults, obs,
-                                  fault::FsimOptions{1, /*drop=*/false});
-  cover_sim.restrictActiveSet(undetected);
+  guide.restrictActiveSet(undetected);
   CoverRecorder recorder(nl.numGates(), undetected, candidates);
-  cover_sim.setReachObserver(&recorder);
+  guide.setReachObserver(&recorder);
   for (int64_t base = 0; base < cfg.guidance_patterns; base += 64) {
     const int lanes = static_cast<int>(
         std::min<int64_t>(64, cfg.guidance_patterns - base));
-    loadRandomSources(nl, cover_sim, rng_b);
-    cover_sim.simulateBlockStuckAt(base, lanes);
+    loadRandomSources(nl, guide, rng_b);
+    guide.simulateBlockStuckAt(base, lanes);
   }
 
   // --- greedy set cover ------------------------------------------------------

@@ -1,7 +1,5 @@
 #include "fault/fault.hpp"
 
-#include <algorithm>
-
 namespace lbist::fault {
 
 std::string_view faultTypeName(FaultType t) {
@@ -66,6 +64,8 @@ FaultList FaultList::enumerate(const Netlist& nl, FaultType base_kind,
                                const FaultListOptions& opts) {
   FaultList fl;
   const Netlist::FanoutMap fanout = nl.buildFanoutMap();
+  std::vector<uint8_t> drives_po(nl.numGates(), 0);
+  for (const OutputPort& po : nl.outputs()) drives_po[po.driver.v] = 1;
 
   auto push = [&fl](GateId g, uint8_t pin, FaultType t, FaultStatus status) {
     fl.records_.push_back(FaultRecord{Fault{g, pin, t}, status, 0, -1});
@@ -76,10 +76,7 @@ FaultList FaultList::enumerate(const Netlist& nl, FaultType base_kind,
 
     // Output stem faults.
     const bool stem_used = fanout.fanout(id).size() > 0;
-    const bool is_po = std::any_of(
-        nl.outputs().begin(), nl.outputs().end(),
-        [&](const OutputPort& p) { return p.driver == id; });
-    if (stem_used || is_po) {
+    if (stem_used || drives_po[id.v] != 0) {
       FaultStatus low_status = FaultStatus::kUndetected;
       FaultStatus high_status = FaultStatus::kUndetected;
       if (!isTransitionKind(base_kind)) {

@@ -14,6 +14,12 @@ namespace lbist::fault {
 
 using sim::LaneWord;
 
+namespace {
+// Stem key of a compute slot with no site diff (a flop's D-pin fault),
+// and the unset mark while the constructor links regions.
+constexpr uint32_t kNoStem = 0xffffffffu;
+}  // namespace
+
 void validateFsimOptions(const FsimOptions& opts) {
   if (!sim::isSupportedLaneWords(opts.lane_words)) {
     throw std::invalid_argument(
@@ -73,29 +79,37 @@ FaultSimulator::FaultSimulator(const Netlist& nl, FaultList& faults,
     collapse_map_ = buildCollapseMap(nl, faults, observed_);
   }
 
-  // Stem-CPT structure: a gate output is a fanout-free-region stem when
-  // the tester sees it directly, when it has any use count other than
-  // one, or when its single use is non-combinational (a capture pin).
-  // Everything else chains forward through its unique consuming gate.
-  // Built from the same NetUses scan the collapse analysis runs, so the
-  // two views of fanout-free structure cannot diverge.
+  // Stem engine structure: a gate output is a fanout-free-region stem
+  // when the tester sees it directly, when it has any use count other
+  // than one, or when its single use is non-combinational (a capture
+  // pin). Everything else chains forward through its unique consuming
+  // gate into that gate's region. Built from the same NetUses scan the
+  // collapse analysis runs, so the two views of fanout-free structure
+  // cannot diverge.
   const size_t n_gates = nl.numGates();
-  constexpr uint32_t kStemMark = 0xffffffffu;
   const NetUses uses = buildNetUses(nl);
   single_use_ = uses.gate;
   single_slot_ = uses.slot;
-  obs_out_.assign(n_gates * lane_words_, 0);
+  ffr_stem_.assign(n_gates, kNoStem);
   for (uint32_t g = 0; g < n_gates; ++g) {
-    const bool stem =
-        is_observed_[g] != 0 || uses.count[g] != 1 ||
-        !isCombinational(nl.gate(GateId{single_use_[g]}).kind);
-    if (stem) {
-      single_use_[g] = kStemMark;
-      stems_.push_back(g);
-    } else if (!isCombinational(nl.gate(GateId{g}).kind)) {
-      nonstem_sources_.push_back(g);
+    if (is_observed_[g] != 0 || uses.count[g] != 1 ||
+        !isCombinational(nl.gate(GateId{single_use_[g]}).kind)) {
+      ffr_stem_[g] = g;
     }
   }
+  // Reverse op order is reverse-topological (the stream is level-major
+  // and a chain's consumer sits at a strictly higher level), and sources
+  // feed ops only, so every consumer's stem is known when it is read.
+  const auto join = [&](uint32_t g) {
+    if (ffr_stem_[g] == kNoStem) ffr_stem_[g] = ffr_stem_[single_use_[g]];
+  };
+  for (size_t opi = compiled_->numOps(); opi-- > 0;) {
+    join(compiled_->opGate(static_cast<uint32_t>(opi)));
+  }
+  for (uint32_t g = 0; g < n_gates; ++g) join(g);
+  ffr_stamp_.assign(n_gates, 0);
+  bucket_end_.assign(n_gates, 0);
+  obs_out_.assign(n_gates * lane_words_, 0);
 
   refreshActiveSet();
 }
@@ -402,58 +416,155 @@ FaultSimulator::InjectResultW<W> FaultSimulator::injectTransitionW(
   return res;
 }
 
-template <size_t W>
-void FaultSimulator::computeObservabilityW(const LaneWord<W>& lane_mask,
-                                           unsigned n_threads) {
-  OBS_SPAN("fsim.cpt_observability");
-  OBS_COUNT("fsim.stem_propagations", stems_.size());
-  constexpr uint32_t kStemMark = 0xffffffffu;
-  const uint64_t* const good = good_.rawValues().data();
-  const sim::CompiledNetlist& cn = *compiled_;
-
-  // Phase A — one full-lane diff propagation per stem. Lane independence
-  // of word-parallel evaluation makes the result exact: lane l of the
-  // detect block is precisely "a flip of this stem in lane l reaches the
-  // observation set", and a lane stops propagating once it has.
-  const size_t n_stems = stems_.size();
-  auto stem_range = [&](ScratchW<W>& sc, size_t lo, size_t hi) {
-    for (size_t i = lo; i < hi; ++i) {
-      const uint32_t s = stems_[i];
-      const SeedW<W> seed{GateId{s}, lane_mask};
-      propagateSeedsW<W>(sc, {&seed, 1}, good, is_observed_,
-                         /*forced=*/nullptr, /*record_touched=*/false,
-                         /*open_lanes=*/lane_mask)
-          .store(obs_out_.data() + size_t{s} * W);
+void FaultSimulator::bucketByStem() {
+  // Counting sort on the stem key: count, prefix-sum, place. Bumping the
+  // serial also invalidates every FFR mask memoized in the last block.
+  ++ffr_serial_;
+  live_stems_.clear();
+  const size_t n_compute = compute_faults_.size();
+  const auto stem_of = [&](size_t ci) {
+    const Fault& f = faults_->record(compute_faults_[ci]).fault;
+    const bool d_pin = f.pin != kOutputPin &&
+                       compiled_->opOf(f.gate) == sim::CompiledNetlist::kNoOp;
+    return d_pin ? kNoStem : ffr_stem_[f.gate.v];
+  };
+  for (size_t ci = 0; ci < n_compute; ++ci) {
+    const uint32_t s = stem_of(ci);
+    if (s == kNoStem) continue;
+    // A stem's stamp marks its bucket live; only non-stems memoize masks.
+    if (ffr_stamp_[s] != ffr_serial_) {
+      ffr_stamp_[s] = ffr_serial_;
+      bucket_end_[s] = 0;
+      live_stems_.push_back(s);
     }
+    ++bucket_end_[s];
+  }
+  uint32_t offset = 0;
+  for (const uint32_t s : live_stems_) {
+    const uint32_t count = bucket_end_[s];
+    bucket_end_[s] = offset;
+    offset += count;
+  }
+  stem_order_.resize(n_compute);
+  for (size_t ci = 0; ci < n_compute; ++ci) {
+    const uint32_t s = stem_of(ci);
+    stem_order_[s == kNoStem ? offset++ : bucket_end_[s]++] =
+        static_cast<uint32_t>(ci);
+  }
+}
+
+template <size_t W>
+LaneWord<W> FaultSimulator::ffrMaskW(ScratchW<W>& sc, uint32_t g,
+                                     const uint64_t* good_vals) {
+  const sim::CompiledNetlist& cn = *compiled_;
+  // Climb toward the stem until the stem or a mask this block already
+  // holds, then fold the pass masks back down, memoizing each.
+  sc.chain.clear();
+  uint32_t x = g;
+  while (ffr_stem_[x] != x && ffr_stamp_[x] != ffr_serial_) {
+    sc.chain.push_back(x);
+    x = single_use_[x];
+  }
+  LaneWord<W> mask = ffr_stem_[x] == x
+                         ? LaneWord<W>::ones()
+                         : LaneWord<W>::load(obs_out_.data() + size_t{x} * W);
+  for (size_t i = sc.chain.size(); i-- > 0;) {
+    const uint32_t y = sc.chain[i];
+    mask &= cn.passMaskW<W>(cn.opOf(GateId{single_use_[y]}), single_slot_[y],
+                            good_vals);
+    mask.store(obs_out_.data() + size_t{y} * W);
+    ffr_stamp_[y] = ffr_serial_;
+  }
+  return mask;
+}
+
+template <size_t W>
+void FaultSimulator::simulateStemsW(const LaneWord<W>& lane_mask,
+                                    bool transition, unsigned n_threads) {
+  bucketByStem();
+  const uint64_t* const good_vals = good_.rawValues().data();
+  const uint64_t* const launch_vals = launch_values_.data();
+  uint64_t* const rows = obs_out_.data();
+  uint64_t* const detect = block_detect_.data();
+  auto inject = [&](const Fault& f) {
+    return transition
+               ? injectTransitionW<W>(f, lane_mask, good_vals, launch_vals)
+               : injectStuckAtW<W>(f, lane_mask, good_vals);
   };
-  if (n_threads <= 1) {
-    stem_range(static_cast<ScratchW<W>&>(*scratch_[0]), 0, n_stems);
-  } else {
-    pool_->run(n_threads, [&](unsigned shard) {
-      const size_t lo = n_stems * shard / n_threads;
-      const size_t hi = n_stems * (shard + 1) / n_threads;
-      stem_range(static_cast<ScratchW<W>&>(*scratch_[shard]), lo, hi);
-    });
+  const size_t n_live = live_stems_.size();
+  const auto bucket_begin = [&](size_t k) -> uint32_t {
+    return k == 0 ? 0 : bucket_end_[live_stems_[k - 1]];
+  };
+
+  // A flop's D-pin fault has no site diff, only its direct capture term.
+  for (size_t p = bucket_begin(n_live); p < stem_order_.size(); ++p) {
+    const uint32_t ci = stem_order_[p];
+    const InjectResultW<W> inj =
+        inject(faults_->record(compute_faults_[ci]).fault);
+    if (inj.direct_detect) inj.direct_mask.store(detect + size_t{ci} * W);
   }
 
-  // Phase B — reverse sensitization pass over the fanout-free chains:
-  // every non-stem output folds its single consuming gate's pass mask
-  // into the consumer's observability. Reverse op order is reverse-
-  // topological (the stream is level-major and a chain's consumer sits
-  // at a strictly higher level), which is all this pass needs.
-  auto fold_chain = [&](uint32_t g) {
-    const uint32_t use = single_use_[g];
-    const LaneWord<W> pm =
-        cn.passMaskW<W>(cn.opOf(GateId{use}), single_slot_[g], good);
-    (pm & LaneWord<W>::load(obs_out_.data() + size_t{use} * W))
-        .store(obs_out_.data() + size_t{g} * W);
+  // Each worker owns a contiguous run of whole stems, of about equal
+  // fault count, in every phase.
+  const uint64_t stem_slots = bucket_begin(n_live);
+  const auto shard_begin = [&](unsigned t) {
+    const uint64_t target = stem_slots * t / n_threads;
+    size_t k = 0;
+    while (k < n_live && bucket_end_[live_stems_[k]] <= target) ++k;
+    return k;
   };
-  for (size_t opi = cn.numOps(); opi-- > 0;) {
-    const uint32_t g = cn.opGate(static_cast<uint32_t>(opi));
-    if (single_use_[g] == kStemMark) continue;
-    fold_chain(g);
-  }
-  for (const uint32_t g : nonstem_sources_) fold_chain(g);
+  const auto for_stem_shards = [&](auto&& body) {
+    if (n_threads <= 1) {
+      body(static_cast<ScratchW<W>&>(*scratch_[0]), size_t{0}, n_live);
+      return;
+    }
+    pool_->run(n_threads, [&](unsigned t) {
+      body(static_cast<ScratchW<W>&>(*scratch_[t]), shard_begin(t),
+           shard_begin(t + 1));
+    });
+  };
+
+  // Phase 1: inject every fault and keep the lanes of its site diff that
+  // reach the stem; the stem's row collects their union.
+  for_stem_shards([&](ScratchW<W>& sc, size_t lo, size_t hi) {
+    for (size_t k = lo; k < hi; ++k) {
+      const uint32_t s = live_stems_[k];
+      LaneWord<W> reach;
+      for (uint32_t p = bucket_begin(k); p < bucket_end_[s]; ++p) {
+        const uint32_t ci = stem_order_[p];
+        const Fault& f = faults_->record(compute_faults_[ci]).fault;
+        const InjectResultW<W> inj = inject(f);
+        if (!inj.diff.any()) continue;
+        const LaneWord<W> at_stem =
+            inj.diff & ffrMaskW<W>(sc, f.gate.v, good_vals);
+        at_stem.store(detect + size_t{ci} * W);
+        reach |= at_stem;
+      }
+      reach.store(rows + size_t{s} * W);
+    }
+  });
+
+  // Phase 2: one propagation per stem with only the union's lanes open;
+  // each fault's mask is the lanes of its own share that are observed.
+  OBS_SPAN("fsim.cpt_observability");
+  for_stem_shards([&](ScratchW<W>& sc, size_t lo, size_t hi) {
+    uint64_t propagated = 0;
+    for (size_t k = lo; k < hi; ++k) {
+      const uint32_t s = live_stems_[k];
+      const LaneWord<W> reach = LaneWord<W>::load(rows + size_t{s} * W);
+      if (!reach.any()) continue;
+      const SeedW<W> seed{GateId{s}, reach};
+      const LaneWord<W> observed = propagateSeedsW<W>(
+          sc, {&seed, 1}, good_vals, is_observed_, /*forced=*/nullptr,
+          /*record_touched=*/false, /*open_lanes=*/reach);
+      ++propagated;
+      for (uint32_t p = bucket_begin(k); p < bucket_end_[s]; ++p) {
+        uint64_t* const row = detect + size_t{stem_order_[p]} * W;
+        (LaneWord<W>::load(row) & observed).store(row);
+      }
+    }
+    OBS_COUNT("fsim.stem_propagations", propagated);
+  });
 }
 
 template <size_t W>
@@ -482,23 +593,10 @@ size_t FaultSimulator::simulateActiveFaultsW(int64_t pattern_base,
   block_had_diff_.assign(n_compute, 0);
   if (buffer_reach) block_touched_.resize(n_compute);
 
-  // Engine choice: per-fault cones while the live list is thin, stem
-  // observability + assembly while it is dense. Both are exact, so the
-  // choice is invisible in the results.
-  bool use_cpt;
-  switch (opts_.engine) {
-    case BlockEngine::kPerFault:
-      use_cpt = false;
-      break;
-    case BlockEngine::kStemCpt:
-      use_cpt = true;
-      break;
-    case BlockEngine::kAuto:
-    default:
-      use_cpt = n_compute > 2 * stems_.size();
-      break;
-  }
-  if (capture_reach) use_cpt = false;
+  // Reach observers need each fault's real cone, which only the
+  // per-fault engine walks.
+  const bool use_stems =
+      opts_.engine == BlockEngine::kStemCpt && !capture_reach;
 
   OBS_SPAN("fsim.block");
   OBS_COUNT("fsim.blocks", 1);
@@ -515,43 +613,15 @@ size_t FaultSimulator::simulateActiveFaultsW(int64_t pattern_base,
                              "pattern base " +
                              std::to_string(pattern_base) + ")");
   }
-  if (use_cpt) {
+  if (use_stems) {
     OBS_COUNT("fsim.blocks_stem_cpt", 1);
-  } else {
-    OBS_COUNT("fsim.blocks_per_fault", 1);
+    simulateStemsW<W>(lane_mask, transition, n_threads);
+    return mergeBlock(pattern_base, /*buffer_reach=*/false);
   }
+  OBS_COUNT("fsim.blocks_per_fault", 1);
 
   const uint64_t* const good_vals = good_.rawValues().data();
   const uint64_t* const launch_vals = launch_values_.data();
-  if (use_cpt) {
-    computeObservabilityW<W>(lane_mask, n_threads);
-    // Phase C — per-fault mask assembly from the observability rows:
-    // inject_diff & obs_of_out(site), plus the direct capture-pin term.
-    auto assemble_range = [&](size_t lo, size_t hi) {
-      for (size_t ci = lo; ci < hi; ++ci) {
-        const Fault& f = faults_->record(compute_faults_[ci]).fault;
-        const InjectResultW<W> inj =
-            transition
-                ? injectTransitionW<W>(f, lane_mask, good_vals, launch_vals)
-                : injectStuckAtW<W>(f, lane_mask, good_vals);
-        LaneWord<W> detect = inj.direct_detect ? inj.direct_mask
-                                               : LaneWord<W>{};
-        detect |= inj.diff &
-                  LaneWord<W>::load(obs_out_.data() + size_t{f.gate.v} * W);
-        detect.store(block_detect_.data() + ci * W);
-      }
-    };
-    if (n_threads <= 1) {
-      assemble_range(0, n_compute);
-    } else {
-      pool_->run(n_threads, [&](unsigned shard) {
-        assemble_range(n_compute * shard / n_threads,
-                       n_compute * (shard + 1) / n_threads);
-      });
-    }
-    return mergeBlock(pattern_base, /*buffer_reach=*/false);
-  }
-
   // Phase 1 — compute: workers read the shared good machine and fault
   // records, write only their own scratch and their slice of the
   // position-indexed result buffers. No shared mutable state, no atomics.

@@ -2,11 +2,13 @@
 //
 // One call simulates a block of up to 64 * lane_words patterns (the lane
 // fabric of sim/lane.hpp: every bit lane of a LaneWord<W> block is an
-// independent pattern, W in {1, 4, 8}): a good-machine pass, then for
-// every live fault an injection plus level-ordered event-driven
-// propagation of the faulty/good difference block through the fault's
-// output cone, accumulating detection masks at the observation set
-// (primary outputs, scan-cell capture pins, DFT observation points).
+// independent pattern, W in {1, 4, 8}): a good-machine pass, then every
+// live fault is injected, and level-ordered event-driven propagation of
+// faulty/good difference blocks accumulates detection masks at the
+// observation set (primary outputs, scan-cell capture pins, DFT
+// observation points). The default engine traces each fault's critical
+// path to its fanout-free-region stem and propagates each stem once per
+// block for all of its region's faults (see BlockEngine).
 //
 // The same engine serves both fault families:
 //  * stuck-at:   site forced to a constant,
@@ -63,19 +65,21 @@ class DetectionObserver {
                                sim::LaneMask detect_mask) = 0;
 };
 
-/// Per-block detection engine. Both produce bit-identical masks; they
-/// differ only in how the work scales.
+/// Per-block detection engine. Both produce bit-identical masks.
+///  * kStemCpt (the default) is critical path tracing per fanout-free
+///    region (FFR): a fault inside an FFR leaves it only through the
+///    region's stem, in the lanes where the fault's site diff passes
+///    every gate of the single-use chain up to the stem (the product of
+///    their pass masks, memoized per gate and block). Each stem is
+///    propagated once per block with only the union of its faults'
+///    masked site diffs open, and each fault's mask is its masked site
+///    diff & that propagation's detect block — exact by lane
+///    independence.
 ///  * kPerFault event-propagates every live fault class through its
-///    output cone — cost scales with the live count, best once dropping
-///    has thinned the list.
-///  * kStemCpt propagates one full-lane diff per fanout-free-region stem
-///    (lane independence makes the resulting per-stem observability word
-///    exact), then assembles every fault's mask as
-///    inject_diff & obs_of_out[site] — cost scales with circuit size,
-///    best while the live list is dense.
-/// kAuto switches per block on live-class vs stem count.
+///    whole output cone. It is the reference the differential tests
+///    compare kStemCpt against, and reach observers force it (they
+///    need each fault's real cone).
 enum class BlockEngine : uint8_t {
-  kAuto,
   kPerFault,
   kStemCpt,
 };
@@ -83,7 +87,7 @@ enum class BlockEngine : uint8_t {
 /// Engine configuration. Every field carries an explicit default below,
 /// so aggregate initialization (e.g. the seed-era `FsimOptions{1, false}`
 /// spelling) leaves the unnamed tail at those defaults — such callers get
-/// collapse = on, the auto block engine, and 64-lane blocks. All of those
+/// collapse = on, the stem block engine, and 64-lane blocks. All of those
 /// are exact — results are bit-identical either way — but profiles
 /// change; spell out `.collapse` / `.engine` / `.lane_words` to pin the
 /// work distribution. Field validity (supported lane width, non-zero
@@ -115,9 +119,9 @@ struct FsimOptions {
   /// fault would be credited its representative's reach cone).
   bool collapse = true;
   /// See BlockEngine. Reach observers force kPerFault (they need real
-  /// per-fault cones). Tests pin kPerFault / kStemCpt to differential-
-  /// check the two engines against each other.
-  BlockEngine engine = BlockEngine::kAuto;
+  /// per-fault cones). Tests pin kPerFault as the reference for
+  /// kStemCpt.
+  BlockEngine engine = BlockEngine::kStemCpt;
   /// Lane-block width in 64-bit words: each simulated block carries
   /// 64 * lane_words patterns (sim/lane.hpp; one of 1, 4, 8). Fixed for
   /// the simulator's lifetime. At a given width, results are invariant
@@ -309,6 +313,7 @@ class FaultSimulator {
     std::vector<std::vector<uint32_t>> level_queue;
     std::vector<uint64_t> level_bits;  // bit l: level_queue[l] non-empty
     std::vector<GateId> touched;
+    std::vector<uint32_t> chain;  // FFR gates whose mask ffrMaskW fills
   };
   template <size_t W>
   struct ScratchW;
@@ -367,11 +372,26 @@ class FaultSimulator {
   /// themselves (identity mapping).
   void prepareComputeSet();
 
-  /// Stem-CPT phases A+B: full-lane stem propagation (sharded) and the
-  /// serial reverse sensitization pass, filling obs_out_ (stride W).
+  /// Groups the compute slots by FFR stem into stem_order_ /
+  /// live_stems_ / bucket_end_, with the slots of flop D-pin faults
+  /// (whose only effect is their direct capture term) after the last
+  /// bucket. Starts a new FFR memo epoch.
+  void bucketByStem();
+
+  /// Lanes in which a flip of gate `g` reaches its FFR stem: the product
+  /// of the pass masks along g's single-use chain (all lanes for a
+  /// stem). Memoized in obs_out_ rows stamped with ffr_serial_; the
+  /// caller must own g's stem for the block.
   template <size_t W>
-  void computeObservabilityW(const sim::LaneWord<W>& lane_mask,
-                             unsigned n_threads);
+  sim::LaneWord<W> ffrMaskW(ScratchW<W>& sc, uint32_t g,
+                            const uint64_t* good_vals);
+
+  /// kStemCpt compute phase for one block: fills block_detect_ for every
+  /// compute slot. Workers own whole stems, so no obs_out_ row or
+  /// block_detect_ slot is written by two of them.
+  template <size_t W>
+  void simulateStemsW(const sim::LaneWord<W>& lane_mask, bool transition,
+                      unsigned n_threads);
 
   /// Serial phase-2 merge over block_detect_: detection bookkeeping,
   /// observer callbacks, n-detect dropping — in fault-list order.
@@ -407,15 +427,24 @@ class FaultSimulator {
   std::vector<std::unique_ptr<ScratchBase>> scratch_;
   std::unique_ptr<core::ThreadPool> pool_;
 
-  // Stem-CPT tables: fanout-free chain links (the single consuming gate
-  // and slot of every non-stem net), the stem list, and the per-block
-  // observability-of-output rows (obs_out_ stride W; row g: lanes in
-  // which a flip of g's output is visible at the observation set).
-  std::vector<uint32_t> single_use_;   // consuming gate; kStemMark = stem
+  // Stem engine tables. Static: fanout-free chain links (the single
+  // consuming gate and slot of every non-stem net) and each gate's FFR
+  // stem (ffr_stem_[g] == g for a stem). Per block, a gate's ffr_stamp_
+  // equals ffr_serial_ once its obs_out_ row (stride W) holds its FFR
+  // mask (non-stem) or once its bucket is live (stem); a live stem's row
+  // holds the union of its faults' masked site diffs. stem_order_ lists
+  // the compute slots grouped by stem, live_stems_ the stems in
+  // first-seen order, and bucket_end_ each live stem's end offset in
+  // stem_order_.
+  std::vector<uint32_t> single_use_;
   std::vector<uint32_t> single_slot_;
-  std::vector<uint32_t> stems_;
-  std::vector<uint32_t> nonstem_sources_;
+  std::vector<uint32_t> ffr_stem_;
+  std::vector<uint32_t> ffr_stamp_;
+  uint32_t ffr_serial_ = 0;
   std::vector<uint64_t> obs_out_;
+  std::vector<uint32_t> bucket_end_;
+  std::vector<uint32_t> stem_order_;
+  std::vector<uint32_t> live_stems_;
 
   // Equivalence folding (empty map when opts_.collapse is off).
   CollapseMap collapse_map_;

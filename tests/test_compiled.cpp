@@ -163,8 +163,7 @@ TEST(EngineDifferential, StuckAtAllConfigurationsBitIdentical) {
                                            BlockEngine::kPerFault);
     for (const bool collapse : {false, true}) {
       for (const BlockEngine engine :
-           {BlockEngine::kPerFault, BlockEngine::kStemCpt,
-            BlockEngine::kAuto}) {
+           {BlockEngine::kPerFault, BlockEngine::kStemCpt}) {
         for (const uint32_t threads : {1u, 2u, 4u}) {
           const CampaignResult got =
               runCampaign(nl, false, threads, collapse, engine);

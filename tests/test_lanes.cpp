@@ -71,7 +71,9 @@ Stimulus makeStimulus(const Netlist& nl, size_t n_words, uint64_t seed) {
 }
 
 /// Accumulates full per-fault detection rows, pattern-indexed — the
-/// width-independent ground truth the cross-width assertions compare.
+/// width-independent ground truth the cross-width assertions compare —
+/// and the observer stream itself: fault index, pattern base and mask
+/// words of every callback, in call order.
 class RowObserver final : public fault::DetectionObserver {
  public:
   RowObserver(size_t n_faults, size_t n_words)
@@ -83,8 +85,12 @@ class RowObserver final : public fault::DetectionObserver {
     for (size_t wi = 0; wi < mask.words() && base + wi < row.size(); ++wi) {
       row[base + wi] |= mask.word(wi);
     }
+    stream.push_back(fault_index);
+    stream.push_back(static_cast<uint64_t>(pattern_base));
+    stream.insert(stream.end(), mask.data(), mask.data() + mask.words());
   }
   std::vector<std::vector<uint64_t>> rows;
+  std::vector<uint64_t> stream;
 };
 
 struct CampaignState {
@@ -92,6 +98,7 @@ struct CampaignState {
   std::vector<uint32_t> detect_count;
   std::vector<int64_t> first_detect;
   std::vector<std::vector<uint64_t>> rows;
+  std::vector<uint64_t> stream;  // observer stream; differs across widths
 
   friend bool operator==(const CampaignState&,
                          const CampaignState&) = default;
@@ -165,6 +172,7 @@ CampaignState runLaneCampaign(const Netlist& nl, const Stimulus& st,
     res.first_detect.push_back(faults.record(i).first_detect_pattern);
   }
   res.rows = std::move(observer.rows);
+  res.stream = std::move(observer.stream);
   return res;
 }
 
@@ -458,43 +466,84 @@ TEST(LaneDifferential, StagedCaptureMatchesTheFrameByFrameReference) {
 }
 
 // ---------------------------------------------------------------------
-// Brute-force reference at width 4: every word of a wide no-drop block's
-// detection row equals the full faulty-machine resimulation of that
-// word's 64 patterns (same reference as test_compiled, widened).
+// Brute-force reference: every word of a no-drop detection row equals a
+// full faulty-machine resimulation of that word's 64 patterns.
 
-uint64_t bruteForceMaskWord(const Netlist& nl, const Stimulus& st,
-                            size_t word, const fault::Fault& f,
-                            std::span<const GateId> obs) {
+/// No-drop rows of every fault in `faults` over the first `n_patterns`
+/// patterns of `st`, one 64-pattern word at a time. The good machine
+/// runs once per word; each fault's machine starts from the good values
+/// and re-evaluates the whole combinational order with the fault
+/// applied. A stuck-at site takes its constant. A transition site
+/// (launch-on-capture) takes its launch value in the capture frame
+/// wherever it makes the fault's transition, with every flop loaded
+/// from its good launch-frame D value. A flop's D-pin fault shows only
+/// in its own scan unload: the captured value differs from the good D
+/// value in the same lanes.
+std::vector<std::vector<uint64_t>> bruteForceRows(
+    const Netlist& nl, const Stimulus& st, int64_t n_patterns,
+    const FaultList& faults, std::span<const GateId> obs, bool transition) {
+  const Levelized lev(nl);
   sim::Simulator2v good(nl);
   sim::Simulator2v bad(nl);
-  for (size_t k = 0; k < st.sources.size(); ++k) {
-    good.setSource(st.sources[k], st.words[k][word]);
-    bad.setSource(st.sources[k], st.words[k][word]);
-  }
-  good.eval();
-  const uint64_t forced =
-      f.type == fault::FaultType::kStuckAt1 ? ~uint64_t{0} : uint64_t{0};
-  const Levelized lev(nl);
-  auto vals = bad.rawValues();
-  if (f.pin == fault::kOutputPin) vals[f.gate.v] = forced;
-  for (GateId id : lev.combOrder()) {
-    const Gate& g = nl.gate(id);
-    uint64_t v;
-    if (id == f.gate && f.pin != fault::kOutputPin) {
-      std::vector<uint64_t> ins;
-      for (size_t s = 0; s < g.fanins.size(); ++s) {
-        ins.push_back(s == f.pin ? forced : vals[g.fanins[s].v]);
-      }
-      v = evalWord2v(g.kind, ins);
-    } else {
-      v = bad.evalGate(id);
+  const size_t n_words = static_cast<size_t>(n_patterns + 63) / 64;
+  std::vector<std::vector<uint64_t>> rows(faults.size(),
+                                          std::vector<uint64_t>(n_words, 0));
+  std::vector<uint64_t> launch;
+  for (size_t wi = 0; wi < n_words; ++wi) {
+    for (size_t k = 0; k < st.sources.size(); ++k) {
+      good.setSource(st.sources[k], st.words[k][wi]);
     }
-    if (id == f.gate && f.pin == fault::kOutputPin) v = forced;
-    vals[id.v] = v;
+    good.eval();
+    if (transition) {
+      launch.assign(good.rawValues().begin(), good.rawValues().end());
+      for (GateId dff : nl.dffs()) {
+        good.setSource(dff, launch[nl.gate(dff).fanins[0].v]);
+      }
+      good.eval();
+    }
+    const std::span<const uint64_t> gv = good.rawValues();
+    const int64_t lanes = std::min<int64_t>(64, n_patterns - wi * 64);
+    const uint64_t lane_mask =
+        lanes == 64 ? ~uint64_t{0} : (uint64_t{1} << lanes) - 1;
+    for (size_t i = 0; i < faults.size(); ++i) {
+      const fault::Fault& f = faults.record(i).fault;
+      const Gate& g = nl.gate(f.gate);
+      const GateId net = f.pin == fault::kOutputPin ? f.gate : g.fanins[f.pin];
+      // The value the faulty machine sees at the site in place of `net`.
+      uint64_t site = f.type == fault::FaultType::kStuckAt1 ? ~uint64_t{0} : 0;
+      if (transition) {
+        const uint64_t v1 = launch[net.v];
+        const uint64_t v2 = gv[net.v];
+        const bool rise = f.type == fault::FaultType::kSlowToRise;
+        site = v2 ^ (rise ? ~v1 & v2 : v1 & ~v2);
+      }
+      if (f.pin != fault::kOutputPin && g.kind == CellKind::kDff) {
+        if ((g.flags & kFlagScanCell) != 0) {
+          rows[i][wi] = (site ^ gv[net.v]) & lane_mask;
+        }
+        continue;
+      }
+      const std::span<uint64_t> bv = bad.rawValues();
+      std::copy(gv.begin(), gv.end(), bv.begin());
+      if (f.pin == fault::kOutputPin) bv[f.gate.v] = site;
+      for (GateId id : lev.combOrder()) {
+        if (id == f.gate && f.pin == fault::kOutputPin) continue;
+        if (id == f.gate) {
+          std::vector<uint64_t> ins;
+          for (size_t slot = 0; slot < g.fanins.size(); ++slot) {
+            ins.push_back(slot == f.pin ? site : bv[g.fanins[slot].v]);
+          }
+          bv[id.v] = evalWord2v(g.kind, ins);
+        } else {
+          bv[id.v] = bad.evalGate(id);
+        }
+      }
+      uint64_t detect = 0;
+      for (GateId o : obs) detect |= bv[o.v] ^ gv[o.v];
+      rows[i][wi] = detect & lane_mask;
+    }
   }
-  uint64_t detect = 0;
-  for (GateId o : obs) detect |= vals[o.v] ^ good.value(o);
-  return detect;
+  return rows;
 }
 
 TEST(LaneDifferential, WideMasksMatchBruteForceResimulation) {
@@ -502,6 +551,11 @@ TEST(LaneDifferential, WideMasksMatchBruteForceResimulation) {
     const std::vector<GateId> obs = fault::fullObservationSet(nl);
     constexpr uint32_t kW = 4;
     const Stimulus st = makeStimulus(nl, kW, 4242);
+    // Capture-pin faults detect at scan unload only; the raw netlists
+    // here have no scan cells, so their rows are 0.
+    const FaultList faults = FaultList::enumerateStuckAt(nl);
+    const auto want = bruteForceRows(nl, st, kW * 64, faults, obs,
+                                     /*transition=*/false);
 
     for (const BlockEngine engine :
          {BlockEngine::kPerFault, BlockEngine::kStemCpt}) {
@@ -510,26 +564,147 @@ TEST(LaneDifferential, WideMasksMatchBruteForceResimulation) {
       cfg.engine = engine;
       cfg.drop = false;
       cfg.n_detect = 1;
-      const CampaignState got =
-          runLaneCampaign(nl, st, kW * 64, cfg);
-
-      const FaultList faults = FaultList::enumerateStuckAt(nl);
+      const CampaignState got = runLaneCampaign(nl, st, kW * 64, cfg);
       for (size_t i = 0; i < faults.size(); ++i) {
+        ASSERT_EQ(got.rows[i], want[i])
+            << nl.name() << " engine=" << static_cast<int>(engine)
+            << " fault " << i << " (" << faults.describe(nl, i) << ")";
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------
+// The stem engine against the per-fault engine and the brute-force rows
+// on circuits built from deep fanout-free regions.
+
+/// Deep fanout-free regions: AND/NAND/OR/NOR/XOR/XNOR/MUX chains with
+/// N-input gates, MUX selects driven from inside a region, a PI and a
+/// flop with exactly one combinational use each, chains ending at an
+/// output and at flop D pins, and reconvergent stems.
+Netlist buildDeepFfrs() {
+  Netlist nl("deep_ffrs");
+  const DomainId clk = nl.addClockDomain("clk", 1000);
+  // Side inputs are fresh, so the chains stay sensitizable; every other
+  // one is a flop, so launch-on-capture transitions reach every chain.
+  size_t n_in = 0;
+  const auto in = [&] {
+    const GateId pi = nl.addInput("a" + std::to_string(n_in++));
+    return n_in % 2 == 0 ? nl.addDff(pi, clk) : pi;
+  };
+  const GateId solo_pi = in();  // one combinational use
+  const GateId solo_q = nl.addDff(in(), clk, "solo_q");  // likewise
+  using K = CellKind;
+
+  // A long single-use chain through every gate kind, with a MUX select
+  // driven from inside another chain.
+  const GateId t1 = nl.addGate(K::kAnd, {in(), solo_q, in()});
+  const GateId t2 = nl.addGate(K::kNor, {t1, in()});
+  const GateId t3 = nl.addGate(K::kXor, {in(), t2});
+  const GateId t4 = nl.addGate(K::kMux2, {t3, in(), in()});
+  const GateId t5 = nl.addGate(K::kNand, {in(), t4, in()});
+  const GateId sel = nl.addGate(K::kOr, {in(), in(), in()});
+  const GateId t6 = nl.addGate(K::kMux2, {in(), t5, sel});
+  const GateId t7 = nl.addGate(K::kXnor, {t6, solo_pi});
+  const GateId t8 = nl.addGate(K::kNot, {t7});
+  const GateId t9 = nl.addGate(K::kBuf, {t8});
+  const GateId t10 = nl.addGate(K::kOr, {in(), t9});
+
+  // t10 is a stem whose branches reconverge, once through a MUX select.
+  const GateId r1 = nl.addGate(K::kAnd, {t10, in()});
+  const GateId r2 = nl.addGate(K::kXor, {in(), t10});
+  const GateId r3 = nl.addGate(K::kNor, {r1, r2});
+  const GateId r4 = nl.addGate(K::kMux2, {r1, r2, t10});
+  const GateId x3 = nl.addGate(K::kXnor, {in(), in(), in()});
+  const GateId r5 = nl.addGate(K::kNand, {r4, x3});
+  nl.addOutput(r3, "y0");
+  nl.addDff(r5, clk, "d0");
+
+  // A second region, starting at a reconvergent stem and ending at a
+  // flop D pin, whose MUX select is fed by the chain.
+  const GateId q = nl.addDff(in(), clk, "q");
+  const GateId s = nl.addGate(K::kNand, {in(), q});
+  const GateId u1 = nl.addGate(K::kAnd, {s, in()});
+  const GateId u2 = nl.addGate(K::kOr, {in(), s});
+  const GateId v1 = nl.addGate(K::kXor, {u1, u2});
+  const GateId v2 = nl.addGate(K::kNot, {v1});
+  const GateId v3 = nl.addGate(K::kMux2, {in(), in(), v2});
+  const GateId v4 = nl.addGate(K::kOr, {v3, in(), in(), in()});
+  const GateId v5 = nl.addGate(K::kXor, {v4, in(), in()});
+  nl.addDff(v5, clk, "d1");
+  nl.addOutput(nl.addGate(K::kAnd, {s, q}), "y1");
+  return nl;
+}
+
+/// `nl` with every flop but the last flagged as a scan cell, so flop
+/// D-pin faults have a direct capture term, and one flop has none.
+Netlist withScanCells(Netlist nl) {
+  for (size_t k = 0; k + 1 < nl.dffs().size(); ++k) {
+    nl.setFlag(nl.dffs()[k], kFlagScanCell);
+  }
+  return nl;
+}
+
+TEST(LaneDifferential, StemEngineMatchesPerFaultAndBruteForce) {
+  // Every width ends in a partial block of 37 lanes.
+  const int64_t n_patterns = 512 + 37;
+  for (const Netlist& nl : {withScanCells(buildDeepFfrs()),
+                            withScanCells(makeIpCore(23, 400))}) {
+    const Stimulus st = makeStimulus(nl, 9, 2024);
+    const std::vector<GateId> obs = fault::fullObservationSet(nl);
+    for (const bool transition : {false, true}) {
+      CampaignConfig base;
+      base.transition = transition;
+      base.list.collapse = false;  // every pin fault, flop D pins included
+      const FaultList faults =
+          transition ? FaultList::enumerateTransition(nl, base.list)
+                     : FaultList::enumerateStuckAt(nl, base.list);
+      const auto want =
+          bruteForceRows(nl, st, n_patterns, faults, obs, transition);
+      // Most faults detect, flop D-pin faults among them.
+      size_t detected = 0;
+      size_t captured = 0;
+      for (size_t i = 0; i < faults.size(); ++i) {
+        if (std::all_of(want[i].begin(), want[i].end(),
+                        [](uint64_t w) { return w == 0; })) {
+          continue;
+        }
+        ++detected;
         const fault::Fault& f = faults.record(i).fault;
-        const Gate& g = nl.gate(f.gate);
-        for (size_t wi = 0; wi < kW; ++wi) {
-          uint64_t expected;
-          if (f.pin != fault::kOutputPin && g.kind == CellKind::kDff) {
-            // Capture-pin faults detect at scan unload only; the raw
-            // netlists here have no scan cells, so the engine reports 0.
-            expected = 0;
-          } else {
-            expected = bruteForceMaskWord(nl, st, wi, f, obs);
+        if (f.pin != fault::kOutputPin &&
+            nl.gate(f.gate).kind == CellKind::kDff) {
+          ++captured;
+        }
+      }
+      ASSERT_GT(detected, faults.size() / 2) << nl.name();
+      ASSERT_GT(captured, 0u) << nl.name();
+      for (const uint32_t W : {1u, 4u, 8u}) {
+        for (const uint32_t n_detect : {1u, 3u}) {
+          for (const bool drop : {true, false}) {
+            CampaignConfig cfg = base;
+            cfg.lane_words = W;
+            cfg.n_detect = n_detect;
+            cfg.drop = drop;
+            cfg.engine = BlockEngine::kPerFault;
+            cfg.collapse = false;
+            const CampaignState ref =
+                runLaneCampaign(nl, st, n_patterns, cfg);
+            if (!drop) {
+              ASSERT_EQ(ref.rows, want) << nl.name();
+            }
+            for (const uint32_t threads : {1u, 2u, 4u}) {
+              for (const bool collapse : {true, false}) {
+                cfg.engine = BlockEngine::kStemCpt;
+                cfg.threads = threads;
+                cfg.collapse = collapse;
+                ASSERT_EQ(runLaneCampaign(nl, st, n_patterns, cfg), ref)
+                    << nl.name() << " transition=" << transition
+                    << " W=" << W << " n_detect=" << n_detect
+                    << " drop=" << drop << " threads=" << threads
+                    << " collapse=" << collapse;
+              }
+            }
           }
-          ASSERT_EQ(got.rows[i][wi], expected)
-              << nl.name() << " engine=" << static_cast<int>(engine)
-              << " fault " << i << " word " << wi << " ("
-              << f.describe(nl) << ")";
         }
       }
     }

@@ -221,17 +221,18 @@ TEST(ObsSeries, OnlyTheOwnerThreadRecordsSamples) {
   obsAll(false);
 }
 
-/// One 4-block fsim campaign at `threads`, returning the series JSON
-/// bytes. Counter totals at block boundaries are merged sums of
-/// per-fault work, so the sampled deltas — and the emitted bytes —
-/// cannot depend on the shard split.
-std::string fsimSeriesJson(const Netlist& nl, unsigned threads) {
+/// One 4-block fsim campaign at `threads` on `engine`, returning the
+/// series JSON bytes. Counter totals at block boundaries are merged sums
+/// of per-fault or per-stem work, so the sampled deltas — and the
+/// emitted bytes — cannot depend on the shard split.
+std::string fsimSeriesJson(const Netlist& nl, unsigned threads,
+                           fault::BlockEngine engine) {
   obsAll(true);
   fault::FaultList faults = fault::FaultList::enumerateStuckAt(nl);
   fault::FsimOptions opts;
   opts.threads = threads;
   opts.min_faults_per_thread = 1;
-  opts.engine = fault::BlockEngine::kPerFault;
+  opts.engine = engine;
   fault::FaultSimulator fsim(nl, faults, fault::fullObservationSet(nl),
                              opts);
   for (size_t b = 0; b < 4; ++b) {
@@ -240,7 +241,9 @@ std::string fsimSeriesJson(const Netlist& nl, unsigned threads) {
     for (GateId dff : nl.dffs()) fsim.setSourceWord(dff, 0, rng());
     fsim.simulateBlockStuckAt(static_cast<int64_t>(b) * 64);
   }
-  const std::string path = "obs_series_t" + std::to_string(threads) + ".json";
+  const std::string path = "obs_series_t" + std::to_string(threads) + "_e" +
+                           std::to_string(static_cast<int>(engine)) +
+                           ".json";
   EXPECT_TRUE(obs::writeSeriesJson(path));
   const std::string text = slurp(path);
   std::remove(path.c_str());
@@ -282,18 +285,20 @@ FlowRun flowRun(const core::BistReadyCore& ready, unsigned threads) {
 
 TEST(ObsSeries, FsimSeriesBytesAreIndependentOfThreadCount) {
   const Netlist nl = gen::buildMiniAlu(32);
-  const std::string t1 = fsimSeriesJson(nl, 1);
-  const std::string t2 = fsimSeriesJson(nl, 2);
-  const std::string t4 = fsimSeriesJson(nl, 4);
-  ASSERT_FALSE(t1.empty());
-  EXPECT_NE(t1.find("\"fsim.block\""), std::string::npos);
-  EXPECT_NE(t1.find("\"work\": ["), std::string::npos);
-  EXPECT_EQ(t1, t2);
-  EXPECT_EQ(t1, t4);
+  for (const fault::BlockEngine engine :
+       {fault::BlockEngine::kPerFault, fault::BlockEngine::kStemCpt}) {
+    const std::string t1 = fsimSeriesJson(nl, 1, engine);
+    const std::string t2 = fsimSeriesJson(nl, 2, engine);
+    const std::string t4 = fsimSeriesJson(nl, 4, engine);
+    ASSERT_FALSE(t1.empty());
+    EXPECT_NE(t1.find("\"fsim.block\""), std::string::npos);
+    EXPECT_NE(t1.find("\"work\": ["), std::string::npos);
+    EXPECT_EQ(t1, t2) << "engine=" << static_cast<int>(engine);
+    EXPECT_EQ(t1, t4) << "engine=" << static_cast<int>(engine);
+  }
 
   // The multi-block CoverageFlow random phase on a small generated core,
-  // with the default block engine, which switches from stem-CPT to
-  // per-fault blocks as dropping thins the live set.
+  // with the default block engine, the stem engine, in every block.
   gen::IpCoreSpec spec;
   spec.seed = 100;
   spec.target_comb_gates = 900;
