@@ -241,9 +241,7 @@ std::string fsimSeriesJson(const Netlist& nl, unsigned threads,
     for (GateId dff : nl.dffs()) fsim.setSourceWord(dff, 0, rng());
     fsim.simulateBlockStuckAt(static_cast<int64_t>(b) * 64);
   }
-  const std::string path = "obs_series_t" + std::to_string(threads) + "_e" +
-                           std::to_string(static_cast<int>(engine)) +
-                           ".json";
+  const std::string path = "obs_series_t" + std::to_string(threads) + ".json";
   EXPECT_TRUE(obs::writeSeriesJson(path));
   const std::string text = slurp(path);
   std::remove(path.c_str());
