@@ -4,16 +4,15 @@
 // realistic undetected tail, snapshots the fault statuses, and then
 // measures runTopUp from that identical starting state for every
 // (engine, threads, escalation) configuration: the compiled PODEM
-// engine at 1/2/4 worker threads, the interpreted Gate-record reference
-// at 1 thread as the speedup baseline, the CDCL engine as primary on
-// the reference circuits, and — on the resistant ipcore — the
+// engine at 1/2/4 worker threads, the CDCL engine as primary on the
+// reference circuits, and — on the resistant ipcore — the
 // PODEM-with-SAT-escalation sweep at 1/2/4 threads, whose rows must
 // show zero stranded targets and a thread-count-invariant
 // cube/redundant split (the hard-tail acceptance criterion). Results go
 // to BENCH_atpg.json (cubes/sec, backtracks/target, coverage, solver
-// conflicts and learned clauses, stranded/redundant counts, speedups),
-// with the shared meta block so the CI delta step can attribute numbers
-// to an environment.
+// conflicts and learned clauses, stranded/redundant counts), with the
+// shared meta block so the CI delta step can attribute numbers to an
+// environment.
 //
 // Flags: --quick   halve the repetition counts (local smoke runs).
 #include <algorithm>
@@ -97,11 +96,7 @@ AtpgRow runCampaign(const std::string& name, const Netlist& nl,
   row.gates = nl.numGates();
   row.faults = snapshot.size();
   row.tail = snapshot.undetectedIndices().size();
-  switch (engine) {
-    case atpg::AtpgEngine::kCompiled: row.engine = "compiled"; break;
-    case atpg::AtpgEngine::kInterpreted: row.engine = "interpreted"; break;
-    case atpg::AtpgEngine::kSat: row.engine = "sat"; break;
-  }
+  row.engine = engine == atpg::AtpgEngine::kSat ? "sat" : "compiled";
   row.threads = threads;
   row.escalate = escalate;
 
@@ -145,16 +140,8 @@ void writeJson(const char* path, const std::vector<AtpgRow>& rows) {
   std::fprintf(f, "  \"runs\": [\n");
   for (size_t i = 0; i < rows.size(); ++i) {
     const AtpgRow& r = rows[i];
-    // Baseline for the speedup column: the interpreted engine on the
-    // same circuit (1 thread). Rates are engine-only (time inside
-    // generate()), so the shared fault-simulation cost cannot dilute
-    // the comparison.
-    double interp_rate = 0.0;
-    for (const AtpgRow& b : rows) {
-      if (b.circuit == r.circuit && b.engine == "interpreted") {
-        interp_rate = static_cast<double>(b.cubes) / b.atpg_seconds;
-      }
-    }
+    // Engine-only rate (time inside generate()), so the shared
+    // fault-simulation cost cannot dilute it.
     const double rate = static_cast<double>(r.cubes) / r.atpg_seconds;
     std::fprintf(
         f,
@@ -168,8 +155,7 @@ void writeJson(const char* path, const std::vector<AtpgRow>& rows) {
         "\"sat_escalated\": %zu, \"sat_detected\": %zu, "
         "\"sat_conflicts\": %zu, \"sat_learned\": %zu, "
         "\"patterns\": %zu, \"patterns_before_compact\": %zu, "
-        "\"coverage_percent\": %.4f, "
-        "\"speedup_vs_interpreted_1t\": %.3f}%s\n",
+        "\"coverage_percent\": %.4f}%s\n",
         r.circuit.c_str(), r.gates, r.faults, r.tail, r.engine.c_str(),
         r.threads, r.escalate ? "true" : "false", r.targeted, r.cubes,
         r.seconds, r.atpg_seconds, rate,
@@ -180,7 +166,6 @@ void writeJson(const char* path, const std::vector<AtpgRow>& rows) {
         r.stranded, r.redundant, r.sat_escalated, r.sat_detected,
         r.sat_conflicts, r.sat_learned,
         r.patterns, r.patterns_before_compact, r.coverage_percent,
-        interp_rate == 0.0 ? 0.0 : rate / interp_rate,
         i + 1 == rows.size() ? "" : ",");
   }
   std::fprintf(f, "  ],\n");
@@ -252,7 +237,6 @@ int main(int argc, char** argv) {
       bool escalate;
     };
     std::vector<Config> configs = {
-        {atpg::AtpgEngine::kInterpreted, 1, false},
         {atpg::AtpgEngine::kCompiled, 1, false},
         {atpg::AtpgEngine::kCompiled, 2, false},
         {atpg::AtpgEngine::kCompiled, 4, false},

@@ -92,7 +92,7 @@ int main() {
     sim.resetState(0);
     for (GateId pi : net.inputs()) sim.setInput(pi, 0);
     sim.setInput(scan.se_port, ~uint64_t{0});
-    if (auto tm = net.findGateByName("test_mode")) {
+    if (auto tm = net.findGateByName(dft::kTestModePort)) {
       sim.setInput(*tm, ~uint64_t{0});
     }
     std::mt19937_64 rng(7);
@@ -133,7 +133,7 @@ int main() {
   sim.resetState(0);
   for (GateId pi : nl.inputs()) sim.setInput(pi, 0);
   sim.setInput(scan.se_port, ~uint64_t{0});
-  if (auto tm = nl.findGateByName("test_mode")) {
+  if (auto tm = nl.findGateByName(dft::kTestModePort)) {
     sim.setInput(*tm, ~uint64_t{0});
   }
   std::mt19937_64 rng(7);

@@ -9,13 +9,18 @@
 // baseline, the schedule's instance-lower-bound ratio, and the measured
 // wall-clock per thread count, with the shared meta block. As with the
 // fsim/atpg sweeps, multi-thread wall-clock rows are only meaningful on
-// a multi-core host (CI); the TCK rows are host-independent.
+// a multi-core host (CI); the TCK rows are host-independent. The
+// mem_peak section covers the 1-thread campaigns only: every budget's
+// serial run goes first and the gauges are read right after, because
+// how 2- and 4-thread workers overlap their compiled netlists, and so
+// the gauge peaks, changes from run to run.
 //
 // Flags: --quick   halve pattern counts (local smoke runs).
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -44,7 +49,8 @@ struct SocRow {
   size_t failures = 0;
 };
 
-void writeJson(const char* path, const std::vector<SocRow>& rows) {
+void writeJson(const char* path, const std::vector<SocRow>& rows,
+               const std::vector<obs::GaugeValue>& serial_gauges) {
   std::FILE* f = std::fopen(path, "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", path);
@@ -73,8 +79,13 @@ void writeJson(const char* path, const std::vector<SocRow>& rows) {
   std::fprintf(f, ",\n");
   lbist::obs::writeSeriesJson(f, "  ");
   std::fprintf(f, ",\n");
-  lbist::obs::writeGaugesJson(f, "  ");
-  std::fprintf(f, "\n}\n");
+  std::fprintf(f, "  \"mem_peak\": {");
+  for (size_t i = 0; i < serial_gauges.size(); ++i) {
+    std::fprintf(f, "%s\n    \"%s\": %lld", i == 0 ? "" : ",",
+                 serial_gauges[i].name.c_str(),
+                 static_cast<long long>(serial_gauges[i].peak));
+  }
+  std::fprintf(f, "\n  }\n}\n");
   std::fclose(f);
   std::fprintf(stderr, "wrote %s\n", path);
 }
@@ -124,12 +135,24 @@ int main(int argc, char** argv) {
       {"open", sum_peak},
   };
 
-  std::vector<SocRow> rows;
+  std::vector<soc::TestSchedule> schedules;
   for (const Budget& b : budgets) {
-    const soc::TestSchedule sched =
-        soc::Scheduler(b.value).build(sessions);
-    std::fprintf(stderr, "%s", core::renderScheduleStats(sched).c_str());
-    for (unsigned threads : {1u, 2u, 4u}) {
+    schedules.push_back(soc::Scheduler(b.value).build(sessions));
+    std::fprintf(stderr, "%s",
+                 core::renderScheduleStats(schedules.back()).c_str());
+  }
+
+  // Thread-major, so every serial campaign runs before any parallel
+  // one; rows stay budget-major.
+  const unsigned thread_counts[] = {1, 2, 4};
+  const size_t n_threads = std::size(thread_counts);
+  std::vector<SocRow> rows(std::size(budgets) * n_threads);
+  std::vector<obs::GaugeValue> serial_gauges;
+  for (size_t t = 0; t < n_threads; ++t) {
+    const unsigned threads = thread_counts[t];
+    for (size_t bi = 0; bi < std::size(budgets); ++bi) {
+      const Budget& b = budgets[bi];
+      const soc::TestSchedule& sched = schedules[bi];
       const lbist::bench::EventPhase phase(
           std::string("soc/") + b.label + "/t" + std::to_string(threads));
       soc::CampaignRunner runner(chip, sched, session);
@@ -139,7 +162,7 @@ int main(int argc, char** argv) {
       const soc::CampaignResult res = runner.run(opts);
       const auto t1 = std::chrono::steady_clock::now();
 
-      SocRow row;
+      SocRow& row = rows[bi * n_threads + t];
       row.budget_label = b.label;
       row.power_budget = b.value;
       row.threads = threads;
@@ -151,15 +174,15 @@ int main(int argc, char** argv) {
       row.bound_ratio = sched.boundRatio();
       row.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
       row.failures = res.failures;
-      rows.push_back(row);
       std::fprintf(stderr,
                    "soc budget=%s threads=%u: %.3fs wall, %zu groups, "
                    "tck speedup %.2fx\n",
-                   b.label, threads, rows.back().wall_seconds, row.groups,
+                   b.label, threads, row.wall_seconds, row.groups,
                    row.tck_speedup);
     }
+    if (threads == 1) serial_gauges = obs::gaugeSnapshot();
   }
-  writeJson("BENCH_soc.json", rows);
+  writeJson("BENCH_soc.json", rows, serial_gauges);
   obs_args.finish();
   return 0;
 }

@@ -25,13 +25,17 @@ visible at a glance. Beyond the throughput rows, the observability
 sections are diffed key by key: the "counters" totals, the "mem_peak"
 gauge high-waters, and the "series" endpoints (final work anchor and
 per-counter delta sums), so a regression is visible at the phase that
-caused it, not just in the run total.
+caused it, not just in the run total. A row found in one file only is
+listed as (gone) or (new) and never judged.
 
---self-test synthesizes a baseline and four doctored variants and
-asserts the gate passes/fails on each as documented above; CI runs it
-so the gate is demonstrably live, not just present.
+--self-test synthesizes a baseline and doctored variants and asserts
+the gate passes/fails on each as documented above (and that one-sided
+rows are listed); CI runs it so the gate is demonstrably live, not just
+present.
 """
 
+import contextlib
+import io
 import json
 import os
 import sys
@@ -255,17 +259,29 @@ def compare(old, new, th):
 
     old_rows = rows(old, key_fields, metric)
     new_rows = rows(new, key_fields, metric)
-    common = sorted(set(old_rows) & set(new_rows), key=str)
-    if not common:
-        print(f"bench_delta: no common {key_fields} rows")
+    keys = sorted(set(old_rows) | set(new_rows), key=str)
+    if not keys:
+        print(f"bench_delta: no {key_fields} rows")
         return failures, waived
 
-    key_w = max(24, max(len(" ".join(map(str, k))) for k in common))
+    key_w = max(24, max(len(" ".join(map(str, k))) for k in keys))
     print(
         f"\n{'row':<{key_w}} {'old ' + metric:>16} {'new ' + metric:>16} "
         f"{'delta':>8}"
     )
-    for key in common:
+    for key in keys:
+        label = " ".join(map(str, key))
+        if key not in old_rows or key not in new_rows:
+            # One-sided rows are listed, like one-sided counters, but
+            # carry no verdict: there is nothing to compare them with.
+            o, n = old_rows.get(key), new_rows.get(key)
+            print(
+                f"{label:<{key_w}} "
+                f"{'-' if o is None else f'{o[metric]:.4f}':>16} "
+                f"{'-' if n is None else f'{n[metric]:.4f}':>16} "
+                f"{'(new)' if o is None else '(gone)':>8}"
+            )
+            continue
         o, n = old_rows[key], new_rows[key]
         old_v, new_v = o[metric], n[metric]
         delta = (new_v / old_v - 1.0) * 100.0 if old_v else float("nan")
@@ -274,7 +290,6 @@ def compare(old, new, th):
         regressed = (
             delta < -wall_pct if higher_is_better else delta > wall_pct
         )
-        label = " ".join(map(str, key))
         flag = ""
         if regressed:
             if work_jumps:
@@ -328,7 +343,8 @@ def self_test():
             "bench": "soc_campaign",
             "meta": {"effective_cpus": 8},
             "runs": [
-                {"budget": "open", "threads": 2, "wall_seconds": wall}
+                {"budget": "open", "threads": 2, "wall_seconds": wall},
+                {"budget": "tight", "threads": 1, "wall_seconds": 9.0},
             ],
             "counters": {"fsim.patterns": work, "robust.injected": 3},
             "mem_peak": {"sim.compiled_bytes": mem},
@@ -342,30 +358,44 @@ def self_test():
         }
 
     th = dict(DEFAULT_THRESHOLDS)
+    runs = synth()["runs"]
+    # (name, doctored new file, gate should fail, text the report must
+    # contain or None).
     cases = [
-        ("identical rerun passes", synth(), False),
-        ("wall-only slowdown is waived", synth(wall=2.0), False),
+        ("identical rerun passes", synth(), False, None),
+        ("wall-only slowdown is waived", synth(wall=2.0), False, None),
         ("wall slowdown with work jump fails",
-         synth(wall=2.0, work=1500), True),
-        ("work jump alone fails", synth(work=1500), True),
-        ("mem_peak growth fails", synth(mem=8192), True),
+         synth(wall=2.0, work=1500), True, None),
+        ("work jump alone fails", synth(work=1500), True, None),
+        ("mem_peak growth fails", synth(mem=8192), True, None),
         # Robust counters track injected faults, not workload size.
         ("robust counter movement alone passes",
          {**synth(), "counters": {"fsim.patterns": 1000,
-                                  "robust.injected": 30}}, False),
+                                  "robust.injected": 30}}, False, None),
+        # A row in one file only is listed and judged by nothing.
+        ("removed row is listed as gone and passes",
+         {**synth(), "runs": runs[:1]}, False, "(gone)"),
+        ("added row is listed as new and passes",
+         {**synth(), "runs": runs + [{**runs[1], "threads": 4}]}, False,
+         "(new)"),
     ]
     ok = True
     base = synth()
-    for name, doctored, want_fail in cases:
+    for name, doctored, want_fail, want_text in cases:
         print(f"\n--- self-test: {name} ---")
-        failures, _ = compare(base, doctored, th)
+        report = io.StringIO()
+        with contextlib.redirect_stdout(report):
+            failures, _ = compare(base, doctored, th)
+        print(report.getvalue(), end="")
         got_fail = bool(failures)
-        verdict = "ok" if got_fail == want_fail else "MISMATCH"
-        if got_fail != want_fail:
+        listed = want_text is None or want_text in report.getvalue()
+        verdict = "ok" if got_fail == want_fail and listed else "MISMATCH"
+        if got_fail != want_fail or not listed:
             ok = False
         print(f"self-test [{verdict}]: {name}: gate "
               f"{'fails' if got_fail else 'passes'}, expected "
-              f"{'fail' if want_fail else 'pass'}")
+              f"{'fail' if want_fail else 'pass'}"
+              f"{'' if listed else f'; report lacks {want_text}'}")
     print(f"\nbench_delta --self-test: {'ok' if ok else 'FAILED'}")
     return 0 if ok else 1
 

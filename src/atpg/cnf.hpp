@@ -5,7 +5,7 @@
 // The encoding is dual-rail 01X-exact: every net carries two literals
 // (`one` = definitely 1, `zero` = definitely 0, neither = X), so the
 // formula models exactly the three-valued semantics of
-// CompiledNetlist::evalOp3 that both PODEM engines search under. A
+// CompiledNetlist::evalOp3 that PODEM searches under. A
 // satisfying assignment is therefore a three-valued test cube, and an
 // UNSAT verdict proves that no such cube exists — the same verdict
 // universe as PODEM, which is what makes the engine-agreement contract

@@ -17,8 +17,10 @@
 // sources swept once) is cached, so per-target setup is two memcpys plus
 // the fault-site forcing — not a netlist-wide re-simulation.
 //
-// The original Gate-record implementation survives as PodemInterpreted
-// (atpg/podem_interp.hpp), the differential-testing reference.
+// Podem is a heuristic search and can abort. Its tests check it against
+// the exact oracles — SatEngine verdicts, exhaustive enumeration on
+// small circuits, fault simulation of every cube — and pin its per-fault
+// answers by hash (tests/test_atpg_parallel.cpp).
 #pragma once
 
 #include <cstdint>
@@ -58,14 +60,14 @@ struct TestCube {
   void mergeFrom(const TestCube& other);
 };
 
-/// Search-effort knobs shared by both PODEM engines.
+/// Search-effort knobs for Podem.
 struct AtpgOptions {
   /// Backtracks allowed per search attempt.
   int backtrack_limit = 256;
 };
 
-/// Extra salted-polarity attempts both PODEM engines make after an
-/// aborted search (see Podem::generate).
+/// Extra salted-polarity attempts Podem makes after an aborted search
+/// (see Podem::generate).
 inline constexpr int kPodemRestarts = 3;
 
 /// Engine interface the top-up driver targets: one deterministic

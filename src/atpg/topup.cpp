@@ -6,11 +6,11 @@
 #include <functional>
 #include <memory>
 #include <random>
+#include <span>
 #include <stdexcept>
 #include <thread>
 #include <unordered_map>
 
-#include "atpg/podem_interp.hpp"
 #include "core/thread_pool.hpp"
 #include "obs/obs.hpp"
 #include "robust/robust.hpp"
@@ -45,10 +45,7 @@ std::unique_ptr<PodemEngine> makeEngine(
     const std::vector<GateId>& assignable,
     const std::vector<std::pair<GateId, bool>>& fixed_sources) {
   std::unique_ptr<PodemEngine> engine;
-  if (cfg.engine == AtpgEngine::kInterpreted) {
-    engine = std::make_unique<PodemInterpreted>(nl, observed, assignable,
-                                                cfg.atpg);
-  } else if (cfg.engine == AtpgEngine::kSat) {
+  if (cfg.engine == AtpgEngine::kSat) {
     engine = std::make_unique<SatEngine>(nl, observed, assignable);
   } else {
     engine = std::make_unique<Podem>(nl, observed, assignable, cfg.atpg);
@@ -64,6 +61,30 @@ std::unique_ptr<SatEngine> makeSatEngine(
   auto engine = std::make_unique<SatEngine>(nl, observed, assignable);
   for (const auto& [id, v] : fixed_sources) engine->fixSource(id, v);
   return engine;
+}
+
+/// Loads up to 64 patterns as one block, pattern k in lane k: every PI
+/// and flop at 0, then each assignable source's lane word, then the
+/// fixed pins at their held values.
+void loadPatternBlock(
+    fault::FaultSimulator& sim, const Netlist& nl,
+    std::span<const TopUpPattern> block,
+    const std::vector<GateId>& assignable,
+    const std::vector<std::pair<GateId, bool>>& fixed_sources) {
+  std::vector<uint64_t> lane_words(assignable.size(), 0);
+  for (size_t lane = 0; lane < block.size(); ++lane) {
+    for (size_t i = 0; i < assignable.size(); ++i) {
+      if (block[lane].values[i] != 0) lane_words[i] |= uint64_t{1} << lane;
+    }
+  }
+  for (GateId pi : nl.inputs()) sim.setSource(pi, 0);
+  for (GateId dff : nl.dffs()) sim.setSource(dff, 0);
+  for (size_t i = 0; i < assignable.size(); ++i) {
+    sim.setSource(assignable[i], lane_words[i]);
+  }
+  for (const auto& [id, v] : fixed_sources) {
+    sim.setSource(id, v ? ~uint64_t{0} : 0);
+  }
 }
 
 /// DetectionObserver accumulating one detection-bit row per tracked
@@ -137,25 +158,12 @@ void reverseCompact(const Netlist& nl, const fault::FaultList& faults,
   sim.setDetectionObserver(&recorder);
   sim.restrictActiveSet(topup_faults);
 
-  std::vector<uint64_t> lane_words(assignable.size());
   for (size_t b = 0; b < n_blocks; ++b) {
     const size_t lo = b * 64;
     const size_t lanes = std::min<size_t>(64, n_pat - lo);
-    std::fill(lane_words.begin(), lane_words.end(), 0);
-    for (size_t lane = 0; lane < lanes; ++lane) {
-      const TopUpPattern& pat = result.patterns[lo + lane];
-      for (size_t i = 0; i < assignable.size(); ++i) {
-        if (pat.values[i] != 0) lane_words[i] |= uint64_t{1} << lane;
-      }
-    }
-    for (GateId pi : nl.inputs()) sim.setSource(pi, 0);
-    for (GateId dff : nl.dffs()) sim.setSource(dff, 0);
-    for (size_t i = 0; i < assignable.size(); ++i) {
-      sim.setSource(assignable[i], lane_words[i]);
-    }
-    for (const auto& [id, v] : fixed_sources) {
-      sim.setSource(id, v ? ~uint64_t{0} : 0);
-    }
+    loadPatternBlock(sim, nl,
+                     std::span(result.patterns).subspan(lo, lanes),
+                     assignable, fixed_sources);
     sim.simulateBlockStuckAt(static_cast<int64_t>(lo),
                              static_cast<int>(lanes));
   }
@@ -469,23 +477,13 @@ TopUpResult runTopUp(const Netlist& nl, fault::FaultList& faults,
     OBS_COUNT("atpg.patterns", batch.size());
 
     // --- fill, store, and fault-simulate the batch ------------------------
-    std::vector<uint64_t> lane_words(assignable.size(), 0);
-    for (size_t lane = 0; lane < batch.size(); ++lane) {
-      TopUpPattern pat = fillCube(batch[lane], assignable, fill_rng);
-      for (size_t i = 0; i < assignable.size(); ++i) {
-        if (pat.values[i] != 0) lane_words[i] |= uint64_t{1} << lane;
-      }
-      result.patterns.push_back(std::move(pat));
+    const size_t first = result.patterns.size();
+    for (const TestCube& cube : batch) {
+      result.patterns.push_back(fillCube(cube, assignable, fill_rng));
     }
     fsim.refreshActiveSet();
-    for (GateId pi : nl.inputs()) fsim.setSource(pi, 0);
-    for (GateId dff : nl.dffs()) fsim.setSource(dff, 0);
-    for (size_t i = 0; i < assignable.size(); ++i) {
-      fsim.setSource(assignable[i], lane_words[i]);
-    }
-    for (const auto& [id, v] : fixed_sources) {
-      fsim.setSource(id, v ? ~uint64_t{0} : 0);
-    }
+    loadPatternBlock(fsim, nl, std::span(result.patterns).subspan(first),
+                     assignable, fixed_sources);
     const size_t detected = fsim.simulateBlockStuckAt(
         pattern_base, static_cast<int>(batch.size()));
     pattern_base += static_cast<int64_t>(batch.size());

@@ -31,22 +31,20 @@ struct TopUpPattern {
   std::vector<uint8_t> values;
 };
 
-/// Which test-generation engine runTopUp drives as the primary. All are
-/// deterministic and produce valid cubes; kCompiled is the fast
-/// production PODEM, kInterpreted the Gate-record reference kept for
-/// differential testing and as the bench baseline, and kSat the CDCL
-/// miter engine whose kUntestable verdicts are completed proofs
-/// (recorded as FaultStatus::kRedundant, never kUntestable).
+/// Which test-generation engine runTopUp drives as the primary. Both are
+/// deterministic and produce valid cubes; kCompiled is the production
+/// PODEM, and kSat the CDCL miter engine whose kUntestable verdicts are
+/// completed proofs (recorded as FaultStatus::kRedundant, never
+/// kUntestable).
 enum class AtpgEngine : uint8_t {
   kCompiled,
-  kInterpreted,
   kSat,
 };
 
 /// Flow configuration. Every knob preserves the thread-count
 /// bit-identity contract.
 struct TopUpConfig {
-  /// Search-effort knobs handed to every PODEM engine instance.
+  /// Search-effort knobs handed to every Podem instance.
   AtpgOptions atpg;
   /// Seed for the don't-care random fill (consumed in serial merge
   /// order, so fills are thread-count-invariant).

@@ -33,7 +33,7 @@ void BistSession::holdInputs() {
   if (core_->scan.test_mode_port.valid()) {
     sim_.setInput(core_->scan.test_mode_port, ~uint64_t{0});
   }
-  if (auto tm = die_->findGateByName("test_mode")) {
+  if (auto tm = die_->findGateByName(dft::kTestModePort)) {
     sim_.setInput(*tm, ~uint64_t{0});
   }
 }

@@ -14,9 +14,9 @@ const ScanChain* ScanResult::chainOf(GateId cell) const {
   return nullptr;
 }
 
-GateId ensureTestModePort(Netlist& nl, const std::string& name) {
-  if (auto existing = nl.findGateByName(name)) return *existing;
-  return nl.addInput(name);
+GateId ensureTestModePort(Netlist& nl) {
+  if (auto existing = nl.findGateByName(kTestModePort)) return *existing;
+  return nl.addInput(kTestModePort);
 }
 
 namespace {
@@ -65,7 +65,7 @@ ScanResult insertScan(Netlist& nl, const ScanConfig& cfg) {
   // -- IO wrapping -----------------------------------------------------------
   GateId test_mode;
   if (cfg.wrap_ios) {
-    test_mode = ensureTestModePort(nl, cfg.test_mode_name);
+    test_mode = ensureTestModePort(nl);
     // Input wrappers: users of PI p see mux(p, wrapper_q, test_mode).
     // The wrapper captures p functionally, so in test mode it is a
     // controllable *and* observable stand-in for the pad.
@@ -73,7 +73,7 @@ ScanResult insertScan(Netlist& nl, const ScanConfig& cfg) {
                                          nl.inputs().end())) {
       if (pi == test_mode) continue;
       const std::string pi_name = nl.gateName(pi);
-      if (pi_name == cfg.se_name) continue;  // never wrap test controls
+      if (pi_name == kScanEnablePort) continue;  // never wrap test controls
       const DomainId dom = wrapperDomain(nl, pi, fanout);
       const GateId cell = nl.addDff(pi, dom, "wrap_in_" + pi_name);
       nl.setFlag(cell, kFlagDftInserted);
@@ -159,8 +159,8 @@ ScanResult insertScan(Netlist& nl, const ScanConfig& cfg) {
   }
 
   // -- stitching --------------------------------------------------------------
-  const GateId se = nl.findGateByName(cfg.se_name).value_or(GateId{});
-  const GateId se_port = se.valid() ? se : nl.addInput(cfg.se_name);
+  const GateId se = nl.findGateByName(kScanEnablePort).value_or(GateId{});
+  const GateId se_port = se.valid() ? se : nl.addInput(kScanEnablePort);
   result.se_port = se_port;
 
   int chain_index = 0;

@@ -10,11 +10,18 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "netlist/netlist.hpp"
 
 namespace lbist::dft {
+
+/// Name of the scan-enable input port insertScan creates (or reuses).
+inline constexpr std::string_view kScanEnablePort = "test_se";
+/// Name of the shared test-mode input port: IO wrappers and X-bounding
+/// gate on it, and every capture-mode setup holds it at 1.
+inline constexpr std::string_view kTestModePort = "test_mode";
 
 struct ScanChain {
   std::string name;
@@ -29,10 +36,8 @@ struct ScanConfig {
   /// their flip-flop counts (every domain with FFs gets at least one).
   int num_chains = 8;
   /// Wrap PIs/POs in scan cells with a functional bypass controlled by
-  /// `test_mode` (paper section 3 technique 2).
+  /// the kTestModePort input (paper section 3 technique 2).
   bool wrap_ios = true;
-  std::string se_name = "test_se";
-  std::string test_mode_name = "test_mode";
 };
 
 struct ScanResult {
@@ -53,8 +58,7 @@ struct ScanResult {
 /// has FFs but the chain budget is smaller than the domain count.
 [[nodiscard]] ScanResult insertScan(Netlist& nl, const ScanConfig& cfg = {});
 
-/// Finds or creates the shared test-mode input port.
-[[nodiscard]] GateId ensureTestModePort(Netlist& nl,
-                                        const std::string& name = "test_mode");
+/// Finds or creates the shared kTestModePort input.
+[[nodiscard]] GateId ensureTestModePort(Netlist& nl);
 
 }  // namespace lbist::dft

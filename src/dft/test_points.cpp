@@ -7,6 +7,7 @@
 #include <unordered_map>
 
 #include "dft/cop.hpp"
+#include "dft/scan.hpp"
 #include "fault/fsim.hpp"
 #include "obs/obs.hpp"
 
@@ -39,10 +40,10 @@ void loadRandomSources(const Netlist& nl, fault::FaultSimulator& fsim,
   for (GateId pi : nl.inputs()) fsim.setSource(pi, rng());
   for (GateId dff : nl.dffs()) fsim.setSource(dff, rng());
   // Test-control pins are held at capture-mode values.
-  if (auto tm = nl.findGateByName("test_mode")) {
+  if (auto tm = nl.findGateByName(kTestModePort)) {
     fsim.setSource(*tm, ~uint64_t{0});
   }
-  if (auto se = nl.findGateByName("test_se")) fsim.setSource(*se, 0);
+  if (auto se = nl.findGateByName(kScanEnablePort)) fsim.setSource(*se, 0);
 }
 
 /// Pass-A recorder: per-gate count of undetected faults whose effect

@@ -7,9 +7,9 @@
 
 namespace lbist::dft {
 
-XBoundResult boundAllX(Netlist& nl, const std::string& test_mode_name) {
+XBoundResult boundAllX(Netlist& nl) {
   XBoundResult result;
-  const GateId test_mode = ensureTestModePort(nl, test_mode_name);
+  const GateId test_mode = ensureTestModePort(nl);
   const GateId not_tm = nl.addGate(CellKind::kNot, {test_mode});
   nl.setFlag(not_tm, kFlagDftInserted);
 
@@ -62,7 +62,7 @@ std::vector<GateId> verifyNoXToObservation(const Netlist& nl, int cycles) {
   for (GateId pi : nl.inputs()) {
     sim.setInput(pi, {0, 0});
   }
-  if (auto tm = nl.findGateByName("test_mode")) {
+  if (auto tm = nl.findGateByName(kTestModePort)) {
     sim.setInput(*tm, {~uint64_t{0}, 0});
   }
 

@@ -22,10 +22,10 @@ struct XBoundResult {
   std::vector<GateId> blocking_gates;
 };
 
-/// Blocks all X sources in place; returns what was done. Idempotent:
-/// already-bounded sources (kFlagXBounded) are skipped.
-XBoundResult boundAllX(Netlist& nl,
-                       const std::string& test_mode_name = "test_mode");
+/// Blocks all X sources in place behind the kTestModePort input
+/// (dft/scan.hpp); returns what was done. Idempotent: already-bounded
+/// sources (kFlagXBounded) are skipped.
+XBoundResult boundAllX(Netlist& nl);
 
 /// Verifies, by three-valued simulation of `cycles` capture cycles with
 /// every X source driven to X and all flip-flops starting at X except

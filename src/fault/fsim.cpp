@@ -616,7 +616,7 @@ size_t FaultSimulator::simulateActiveFaultsW(int64_t pattern_base,
   if (use_stems) {
     OBS_COUNT("fsim.blocks_stem_cpt", 1);
     simulateStemsW<W>(lane_mask, transition, n_threads);
-    return mergeBlock(pattern_base, /*buffer_reach=*/false);
+    return mergeBlock(pattern_base, n_patterns, /*buffer_reach=*/false);
   }
   OBS_COUNT("fsim.blocks_per_fault", 1);
 
@@ -663,10 +663,11 @@ size_t FaultSimulator::simulateActiveFaultsW(int64_t pattern_base,
     });
   }
 
-  return mergeBlock(pattern_base, buffer_reach);
+  return mergeBlock(pattern_base, n_patterns, buffer_reach);
 }
 
-size_t FaultSimulator::mergeBlock(int64_t pattern_base, bool buffer_reach) {
+size_t FaultSimulator::mergeBlock(int64_t pattern_base, int n_patterns,
+                                  bool buffer_reach) {
   // Phase 2 — merge, serially and in fault-list order: detection
   // bookkeeping, observer callbacks, and n-detect dropping are
   // therefore identical for every thread count and shard layout — and,
@@ -708,9 +709,10 @@ size_t FaultSimulator::mergeBlock(int64_t pattern_base, bool buffer_reach) {
   OBS_COUNT("fsim.faults_dropped", n_active - out);
   active_.resize(out);
   // Rate-curve anchor: one sample per merged block, work-indexed by the
-  // pattern count reached. The merge is the quiescent point — workers
-  // have joined — so this is where counter deltas are well-defined.
-  OBS_SAMPLE("fsim.block", pattern_base + static_cast<int64_t>(w * 64));
+  // pattern count reached (a partial block counts only the patterns it
+  // simulated). The merge is the quiescent point — workers have joined —
+  // so this is where counter deltas are well-defined.
+  OBS_SAMPLE("fsim.block", pattern_base + n_patterns);
   return newly_detected;
 }
 
@@ -837,7 +839,7 @@ size_t FaultSimulator::simulateStagedW(
     });
   }
 
-  return mergeBlock(pattern_base, /*buffer_reach=*/false);
+  return mergeBlock(pattern_base, n_patterns, /*buffer_reach=*/false);
 }
 
 size_t FaultSimulator::simulateBlockStuckAt(int64_t pattern_base,

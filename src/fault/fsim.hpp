@@ -395,8 +395,9 @@ class FaultSimulator {
 
   /// Serial phase-2 merge over block_detect_: detection bookkeeping,
   /// observer callbacks, n-detect dropping — in fault-list order.
-  /// Width-agnostic: walks lane_words_-wide rows.
-  size_t mergeBlock(int64_t pattern_base, bool buffer_reach);
+  /// Width-agnostic: walks lane_words_-wide rows. The block's
+  /// `n_patterns` only anchor its series sample.
+  size_t mergeBlock(int64_t pattern_base, int n_patterns, bool buffer_reach);
 
   [[nodiscard]] unsigned resolveThreads(size_t n_work_units) const;
   template <size_t W>

@@ -122,49 +122,6 @@ TEST(Podem, HonorsFixedSources) {
       AtpgStatus::kDetected);
 }
 
-TEST(Podem, RandomCircuitsCrossChecked) {
-  for (uint64_t seed = 2; seed <= 4; ++seed) {
-    gen::IpCoreSpec spec;
-    spec.seed = seed;
-    spec.target_comb_gates = 250;
-    spec.target_ffs = 20;
-    spec.num_inputs = 10;
-    spec.num_outputs = 8;
-    spec.num_domains = 1;
-    spec.num_xsources = 0;
-    spec.num_noscan_ffs = 0;
-    Netlist nl = gen::generateIpCore(spec);
-    for (GateId dff : nl.dffs()) nl.setFlag(dff, kFlagScanCell);
-
-    std::vector<GateId> obs = poDrivers(nl);
-    for (GateId dff : nl.dffs()) obs.push_back(nl.gate(dff).fanins[0]);
-    std::sort(obs.begin(), obs.end());
-    obs.erase(std::unique(obs.begin(), obs.end()), obs.end());
-    std::vector<GateId> assignable(nl.inputs().begin(), nl.inputs().end());
-    for (GateId dff : nl.dffs()) assignable.push_back(dff);
-
-    Podem podem(nl, obs, assignable);
-    fault::FaultList fl = fault::FaultList::enumerateStuckAt(nl);
-    size_t detected = 0;
-    size_t aborted = 0;
-    for (size_t i = 0; i < fl.size(); ++i) {
-      if (fl.record(i).status != fault::FaultStatus::kUndetected) continue;
-      TestCube cube;
-      const AtpgStatus st = podem.generate(fl.record(i).fault, cube);
-      if (st == AtpgStatus::kDetected) {
-        EXPECT_TRUE(cubeDetects(nl, cube, fl.record(i).fault, obs))
-            << "seed " << seed << ": " << fl.describe(nl, i);
-        ++detected;
-      } else if (st == AtpgStatus::kAborted) {
-        ++aborted;
-      }
-    }
-    EXPECT_GT(detected, fl.size() * 8 / 10)
-        << "most faults in a random circuit are testable";
-    EXPECT_LT(aborted, fl.size() / 10);
-  }
-}
-
 TEST(TestCube, CompatibilityAndMerge) {
   TestCube a;
   a.care_sources = {GateId{1}, GateId{2}};

@@ -1,13 +1,14 @@
 // Differential suite for the compiled PODEM engine and the parallel
-// top-up driver: compiled vs interpreted agreement, thread-count
-// bit-identity of the generated pattern sets, and coverage preservation
-// of the reverse-order compaction pass.
+// top-up driver: Podem against the SAT engine's exact verdicts and
+// fault-simulated cubes, a hash pin of Podem's per-fault answers,
+// thread-count bit-identity of the generated pattern sets, and coverage
+// preservation of the reverse-order compaction pass.
 #include <gtest/gtest.h>
 
 #include <random>
 
 #include "atpg/podem.hpp"
-#include "atpg/podem_interp.hpp"
+#include "atpg/sat.hpp"
 #include "atpg/topup.hpp"
 #include "fault/fsim.hpp"
 #include "gen/ipcore.hpp"
@@ -73,67 +74,136 @@ bool cubeDetects(const Netlist& nl, const TestCube& cube,
   return all.record(idx).status == fault::FaultStatus::kDetected;
 }
 
-/// Per-fault differential: the compiled engine must detect whenever the
-/// interpreted engine does (with a cube the fault simulator confirms),
-/// and a compiled untestability proof must never contradict an
-/// interpreted detection.
-void crossCheckEngines(Netlist& nl) {
+/// Per-fault differential against the exact oracle. SatEngine completes
+/// on every fault of these circuits (asserted), so its verdict is ground
+/// truth: every compiled cube must detect its fault under fault
+/// simulation, a compiled cube must never meet a SAT UNSAT, and a
+/// compiled kUntestable must never meet a SAT cube. Compiled aborts make
+/// no claim; `detected` and `aborted` count the compiled verdicts.
+void crossCheckWithSat(Netlist& nl, size_t& faults, size_t& detected,
+                       size_t& aborted) {
   const ScanSetup s = scanSetup(nl);
-  Podem compiled(nl, s.observed, s.assignable);
-  PodemInterpreted interp(nl, s.observed, s.assignable);
+  Podem podem(nl, s.observed, s.assignable);
+  SatEngine sat(nl, s.observed, s.assignable);
 
   fault::FaultList fl = fault::FaultList::enumerateStuckAt(nl);
-  size_t both_detected = 0;
+  faults = fl.size();
+  detected = 0;
+  aborted = 0;
   for (size_t i = 0; i < fl.size(); ++i) {
     if (fl.record(i).status != fault::FaultStatus::kUndetected) continue;
     const fault::Fault f = fl.record(i).fault;
-    TestCube ci, cc;
-    const AtpgStatus si = interp.generate(f, ci);
-    const AtpgStatus sc = compiled.generate(f, cc);
-    if (si == AtpgStatus::kDetected) {
-      ASSERT_EQ(sc, AtpgStatus::kDetected)
-          << "compiled engine missed " << fl.describe(nl, i);
-      EXPECT_TRUE(cubeDetects(nl, cc, f, s.observed))
+    TestCube pc, sc;
+    const AtpgStatus ps = podem.generate(f, pc);
+    const AtpgStatus ss = sat.generate(f, sc);
+    ASSERT_NE(ss, AtpgStatus::kAborted)
+        << "SAT must complete on " << fl.describe(nl, i);
+    if (ps == AtpgStatus::kDetected) {
+      EXPECT_TRUE(cubeDetects(nl, pc, f, s.observed))
           << "compiled cube fails to detect " << fl.describe(nl, i);
-      ++both_detected;
-    }
-    if (sc == AtpgStatus::kUntestable) {
-      EXPECT_NE(si, AtpgStatus::kDetected)
-          << "compiled untestability proof contradicted: "
+      EXPECT_EQ(ss, AtpgStatus::kDetected)
+          << "compiled cube vs SAT UNSAT on " << fl.describe(nl, i);
+      ++detected;
+    } else if (ps == AtpgStatus::kUntestable) {
+      EXPECT_EQ(ss, AtpgStatus::kUntestable)
+          << "compiled untestability proof vs SAT cube on "
           << fl.describe(nl, i);
-    }
-    if (si == AtpgStatus::kUntestable) {
-      EXPECT_NE(sc, AtpgStatus::kDetected)
-          << "interpreted untestability proof contradicted: "
-          << fl.describe(nl, i);
+    } else {
+      ++aborted;
     }
   }
-  EXPECT_GT(both_detected, 0u);
+  EXPECT_GT(detected, 0u);
 }
 
-TEST(PodemDifferential, C17) {
-  Netlist nl = gen::buildC17();
-  crossCheckEngines(nl);
+/// The generated IP cores of the differential, seeds 2 to 4.
+Netlist differentialCore(uint64_t seed) {
+  gen::IpCoreSpec spec;
+  spec.seed = seed;
+  spec.target_comb_gates = 250;
+  spec.target_ffs = 20;
+  spec.num_inputs = 10;
+  spec.num_outputs = 8;
+  spec.num_domains = 1;
+  spec.num_xsources = 0;
+  spec.num_noscan_ffs = 0;
+  return gen::generateIpCore(spec);
 }
+
+// C17 has no case here: SatEngine.C17EveryFaultCubedVerifiedAndAgreesWithPodem
+// (test_sat) requires SAT and Podem to detect every C17 fault, and
+// Podem.GeneratesTestsForAllC17Faults (test_atpg) fault-simulates every
+// Podem cube.
 
 TEST(PodemDifferential, MiniAlu) {
   Netlist nl = gen::buildMiniAlu(8);
-  crossCheckEngines(nl);
+  size_t faults = 0, detected = 0, aborted = 0;
+  crossCheckWithSat(nl, faults, detected, aborted);
 }
 
 TEST(PodemDifferential, RandomIpCores) {
   for (uint64_t seed = 2; seed <= 4; ++seed) {
-    gen::IpCoreSpec spec;
-    spec.seed = seed;
-    spec.target_comb_gates = 250;
-    spec.target_ffs = 20;
-    spec.num_inputs = 10;
-    spec.num_outputs = 8;
-    spec.num_domains = 1;
-    spec.num_xsources = 0;
-    spec.num_noscan_ffs = 0;
-    Netlist nl = gen::generateIpCore(spec);
-    crossCheckEngines(nl);
+    Netlist nl = differentialCore(seed);
+    size_t faults = 0, detected = 0, aborted = 0;
+    crossCheckWithSat(nl, faults, detected, aborted);
+    EXPECT_GT(detected, faults * 8 / 10)
+        << "seed " << seed << ": most faults in a random circuit are testable";
+    EXPECT_LT(aborted, faults / 10) << "seed " << seed;
+  }
+}
+
+/// FNV-1a over Podem's answer for every undetected fault of `nl` under
+/// the full-scan setup: fault index, status, backtracks used, and the
+/// cube's care sources and values in order.
+uint64_t podemAnswersHash(Netlist& nl) {
+  const ScanSetup s = scanSetup(nl);
+  Podem podem(nl, s.observed, s.assignable);
+  uint64_t h = 0xcbf29ce484222325ull;
+  const auto mix = [&](uint64_t word) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (word >> (8 * b)) & 0xffu;
+      h *= 0x100000001b3ull;
+    }
+  };
+  fault::FaultList fl = fault::FaultList::enumerateStuckAt(nl);
+  mix(fl.size());
+  for (size_t i = 0; i < fl.size(); ++i) {
+    if (fl.record(i).status != fault::FaultStatus::kUndetected) continue;
+    TestCube cube;
+    const AtpgStatus st = podem.generate(fl.record(i).fault, cube);
+    mix(i);
+    mix(static_cast<uint64_t>(st));
+    mix(podem.backtracksUsed());
+    mix(cube.care_sources.size());
+    for (size_t k = 0; k < cube.care_sources.size(); ++k) {
+      mix(cube.care_sources[k].v);
+      mix(cube.care_values[k]);
+    }
+  }
+  return h;
+}
+
+TEST(PodemDifferential, AnswersMatchTheRecordedRun) {
+  // The SAT differential above cannot see a compiled engine that starts
+  // aborting where it used to detect, or that spends more backtracks.
+  // These hashes pin every status, backtrack count and cube, so any
+  // change to the search fails here.
+  {
+    Netlist nl = gen::buildC17();
+    const uint64_t h = podemAnswersHash(nl);
+    EXPECT_EQ(h, 0x7f24e65dba81075eull) << "c17: 0x" << std::hex << h;
+  }
+  {
+    Netlist nl = gen::buildMiniAlu(8);
+    const uint64_t h = podemAnswersHash(nl);
+    EXPECT_EQ(h, 0x667a8d08b0caf058ull) << "mini ALU: 0x" << std::hex << h;
+  }
+  const uint64_t cores[] = {0xe630b31bf66a8b10ull, 0x84ac0ec9d3d2a452ull,
+                            0x58b77f055f72a50aull};
+  for (uint64_t seed = 2; seed <= 4; ++seed) {
+    Netlist nl = differentialCore(seed);
+    const uint64_t h = podemAnswersHash(nl);
+    EXPECT_EQ(h, cores[seed - 2])
+        << "seed " << seed << ": 0x" << std::hex << h;
   }
 }
 
@@ -209,7 +279,11 @@ TEST(TopUpParallel, PatternsBitIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(TopUpParallel, CompiledCoverageAtLeastInterpreted) {
+TEST(TopUpParallel, EscalatedCoverageMatchesSatPrimary) {
+  // SAT-primary top-up completes on every target, so its coverage is
+  // exact for the starting state. Compiled PODEM with SAT escalation
+  // must reach the same coverage: a PODEM untestability claim on a
+  // testable fault, or a lost cube, would leave it short.
   struct Workload {
     const char* name;
     Netlist nl;
@@ -219,6 +293,7 @@ TEST(TopUpParallel, CompiledCoverageAtLeastInterpreted) {
   workloads.push_back({"alu64", gen::buildMiniAlu(64)});
   workloads.push_back({"ipcore", topUpCore(92)});
 
+  size_t escalations = 0;
   for (Workload& w : workloads) {
     const ScanSetup s = scanSetup(w.nl);
     fault::FaultList base = fault::FaultList::enumerateStuckAt(w.nl);
@@ -227,22 +302,30 @@ TEST(TopUpParallel, CompiledCoverageAtLeastInterpreted) {
       runRandomPhase(fsim, s.assignable);
     }
 
-    double coverage[2] = {0.0, 0.0};
+    TopUpResult res[2];
     int idx = 0;
-    for (AtpgEngine engine :
-         {AtpgEngine::kCompiled, AtpgEngine::kInterpreted}) {
+    for (AtpgEngine engine : {AtpgEngine::kCompiled, AtpgEngine::kSat}) {
       fault::FaultList fl = base;
       fault::FaultSimulator fsim(w.nl, fl, s.observed);
       TopUpConfig cfg;
       cfg.engine = engine;
-      const TopUpResult res =
+      cfg.sat_escalate = true;
+      res[idx++] =
           runTopUp(w.nl, fl, fsim, s.observed, s.assignable, {}, cfg);
-      coverage[idx++] = res.final_coverage.faultCoveragePercent();
     }
-    EXPECT_GE(coverage[0], coverage[1])
-        << w.name << ": compiled top-up must not lose coverage vs the "
-        << "interpreted reference";
+    const fault::Coverage& escalated = res[0].final_coverage;
+    const fault::Coverage& sat = res[1].final_coverage;
+    EXPECT_EQ(res[1].aborted, 0u) << w.name;
+    EXPECT_EQ(res[0].aborted, 0u) << w.name;
+    escalations += res[0].sat_escalated;
+    EXPECT_EQ(escalated.detected, sat.detected) << w.name;
+    EXPECT_EQ(escalated.untestable + escalated.redundant,
+              sat.untestable + sat.redundant)
+        << w.name;
+    EXPECT_EQ(escalated.faultCoveragePercent(), sat.faultCoveragePercent())
+        << w.name << ": escalated top-up must reach the SAT-primary coverage";
   }
+  EXPECT_GT(escalations, 0u) << "no PODEM abort reached the SAT engine";
 }
 
 TEST(TopUpParallel, ReverseCompactionPreservesDetection) {

@@ -166,7 +166,7 @@ SessionResult fullEvalRun(const BistReadyCore& core, const Netlist& die,
   if (core.scan.test_mode_port.valid()) {
     sim.setInput(core.scan.test_mode_port, ~uint64_t{0});
   }
-  if (auto tm = die.findGateByName("test_mode")) {
+  if (auto tm = die.findGateByName(dft::kTestModePort)) {
     sim.setInput(*tm, ~uint64_t{0});
   }
   std::vector<bist::Prpg> prpgs;

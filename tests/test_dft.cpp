@@ -73,7 +73,7 @@ TEST(Scan, ShiftMovesDataThroughChain) {
   if (scan.test_mode_port.valid()) {
     sim.setInput(scan.test_mode_port, ~uint64_t{0});
   }
-  if (auto tm = nl.findGateByName("test_mode")) {
+  if (auto tm = nl.findGateByName(kTestModePort)) {
     sim.setInput(*tm, ~uint64_t{0});
   }
 
@@ -382,7 +382,7 @@ TEST(Retime, StructuralLockupPreservesShiftStream) {
   sim.resetState(0);
   for (GateId pi : nl.inputs()) sim.setInput(pi, 0);
   sim.setInput(scan.se_port, ~uint64_t{0});
-  if (auto tm = nl.findGateByName("test_mode")) {
+  if (auto tm = nl.findGateByName(kTestModePort)) {
     sim.setInput(*tm, ~uint64_t{0});
   }
   std::mt19937_64 rng(123);

@@ -337,6 +337,36 @@ TEST(ObsSeries, FsimSeriesBytesAreIndependentOfThreadCount) {
   }
 }
 
+TEST(ObsSeries, PartialBlocksAnchorAtThePatternsSimulated) {
+  // A 100-pattern random phase is a 64-pattern block and a 36-pattern
+  // one. Each fsim.block sample is anchored at the patterns simulated so
+  // far, so the series reads 64 then 100, never the lane capacity 128.
+  gen::IpCoreSpec spec;
+  spec.seed = 100;
+  spec.target_comb_gates = 400;
+  spec.target_ffs = 30;
+  spec.num_inputs = 10;
+  spec.num_outputs = 8;
+  spec.num_domains = 1;
+  spec.num_xsources = 0;
+  spec.num_noscan_ffs = 0;
+  core::LbistConfig cfg;
+  cfg.num_chains = 2;
+  cfg.test_points = 0;
+  const core::BistReadyCore ready =
+      core::buildBistReadyCore(gen::generateIpCore(spec), cfg);
+  obsAll(true);
+  core::CoverageFlow flow(ready, /*transition=*/false, {});
+  flow.runRandomPhase(100);
+  std::vector<int64_t> work;
+  for (const obs::SeriesValue& sv : obs::seriesSnapshot()) {
+    if (sv.name != "fsim.block") continue;
+    for (const obs::SeriesSample& s : sv.samples) work.push_back(s.work);
+  }
+  obsAll(false);
+  EXPECT_EQ(work, (std::vector<int64_t>{64, 100}));
+}
+
 // ---------------------------------------------------------------------
 // Event log: epoch ordering, deterministic shared commits, gauges, and
 // the unified writer API.

@@ -1,5 +1,5 @@
 // SAT-based ATPG: the CDCL engine proven correct differentially against
-// the PODEM engines, exhaustive input enumeration, and the fault
+// compiled PODEM, exhaustive input enumeration, and the fault
 // simulator.
 //
 // The contract under test (ARCHITECTURE.md contract 7, "engine
@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "atpg/podem.hpp"
-#include "atpg/podem_interp.hpp"
 #include "atpg/sat.hpp"
 #include "atpg/topup.hpp"
 #include "core/architect.hpp"
@@ -257,12 +256,13 @@ TEST(SatEngine, MiniAluVerdictsMatchExhaustiveEnumeration) {
 
 // ------------------------------------------------- cross-engine fuzzing
 
-TEST(SatEngine, FuzzRandomCircuitsAgreeWithInterpretedPodem) {
+TEST(SatEngine, FuzzRandomCircuitsAgreeWithPodem) {
   // Seeded sweep of generated circuits x every undetected stuck-at
-  // fault: a cube on one side and a completed-proof verdict on the
-  // other is an instant failure. Aborts make no claim and are skipped
-  // from the equality check (but a SAT cube still forbids a PODEM
-  // redundancy proof and vice versa).
+  // fault against the production PODEM: a cube on one side and a
+  // completed-proof verdict on the other is an instant failure, and
+  // every cube of either engine must detect its fault. Aborts make no
+  // claim and are skipped from the equality check (but a SAT cube still
+  // forbids a PODEM redundancy proof and vice versa).
   for (uint64_t seed = 11; seed <= 13; ++seed) {
     gen::IpCoreSpec spec;
     spec.seed = seed;
@@ -278,32 +278,37 @@ TEST(SatEngine, FuzzRandomCircuitsAgreeWithInterpretedPodem) {
     const ScanSetup s = scanSetup(nl);
 
     SatEngine sat(nl, s.observed, s.assignable);
-    PodemInterpreted interp(nl, s.observed, s.assignable);
+    Podem podem(nl, s.observed, s.assignable);
     fault::FaultList fl = fault::FaultList::enumerateStuckAt(nl);
     size_t compared = 0;
     for (size_t i = 0; i < fl.size(); ++i) {
       if (fl.record(i).status != fault::FaultStatus::kUndetected) continue;
       TestCube sat_cube;
-      TestCube interp_cube;
+      TestCube podem_cube;
       const AtpgStatus sat_st = sat.generate(fl.record(i).fault, sat_cube);
-      const AtpgStatus interp_st =
-          interp.generate(fl.record(i).fault, interp_cube);
+      const AtpgStatus podem_st =
+          podem.generate(fl.record(i).fault, podem_cube);
       if (sat_st == AtpgStatus::kDetected) {
         EXPECT_TRUE(
             cubeDetects(nl, sat_cube, fl.record(i).fault, s.observed))
             << "seed " << seed << ": " << fl.describe(nl, i);
-        EXPECT_NE(interp_st, AtpgStatus::kUntestable)
+        EXPECT_NE(podem_st, AtpgStatus::kUntestable)
             << "seed " << seed << ": SAT cube vs PODEM redundancy proof on "
             << fl.describe(nl, i);
       }
+      if (podem_st == AtpgStatus::kDetected) {
+        EXPECT_TRUE(
+            cubeDetects(nl, podem_cube, fl.record(i).fault, s.observed))
+            << "seed " << seed << ": " << fl.describe(nl, i);
+      }
       if (sat_st == AtpgStatus::kUntestable) {
-        EXPECT_NE(interp_st, AtpgStatus::kDetected)
+        EXPECT_NE(podem_st, AtpgStatus::kDetected)
             << "seed " << seed << ": SAT UNSAT vs PODEM cube on "
             << fl.describe(nl, i);
       }
       if (sat_st != AtpgStatus::kAborted &&
-          interp_st != AtpgStatus::kAborted) {
-        EXPECT_EQ(sat_st, interp_st)
+          podem_st != AtpgStatus::kAborted) {
+        EXPECT_EQ(sat_st, podem_st)
             << "seed " << seed << ": " << fl.describe(nl, i);
         ++compared;
       }
