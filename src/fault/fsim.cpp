@@ -53,7 +53,8 @@ std::vector<GateId> fullObservationSet(const Netlist& nl) {
 
 // Width-specific worker scratch: the fault-effect overlay cells. Value
 // and stamps share one cell so an overlay read touches one contiguous
-// spot regardless of W.
+// spot regardless of W. A staged block's passes also log here the
+// corrupted captures they find for the compute slots the worker owns.
 template <size_t W>
 struct FaultSimulator::ScratchW final : FaultSimulator::ScratchBase {
   struct Cell {
@@ -61,7 +62,12 @@ struct FaultSimulator::ScratchW final : FaultSimulator::ScratchBase {
     uint32_t stamp = 0;   // fval valid when == serial
     uint32_t queued = 0;  // gate scheduled when == serial
   };
+  struct Capture {
+    uint32_t slot;
+    SeedW<W> flop;  // the flop's Q differs in flop.diff from now on
+  };
   std::vector<Cell> ov;
+  std::vector<Capture> captures;
 };
 
 FaultSimulator::FaultSimulator(const Netlist& nl, FaultList& faults,
@@ -478,35 +484,24 @@ LaneWord<W> FaultSimulator::ffrMaskW(ScratchW<W>& sc, uint32_t g,
   return mask;
 }
 
-template <size_t W>
-void FaultSimulator::simulateStemsW(const LaneWord<W>& lane_mask,
-                                    bool transition, unsigned n_threads) {
+template <size_t W, class OpenLanes, class Capture>
+void FaultSimulator::simulateStemsW(const uint64_t* frame,
+                                    const std::vector<uint8_t>& observed,
+                                    bool transition,
+                                    const OpenLanes& open_lanes,
+                                    uint64_t* rows, const Capture& capture,
+                                    unsigned n_threads) {
   bucketByStem();
-  const uint64_t* const good_vals = good_.rawValues().data();
   const uint64_t* const launch_vals = launch_values_.data();
-  uint64_t* const rows = obs_out_.data();
-  uint64_t* const detect = block_detect_.data();
-  auto inject = [&](const Fault& f) {
-    return transition
-               ? injectTransitionW<W>(f, lane_mask, good_vals, launch_vals)
-               : injectStuckAtW<W>(f, lane_mask, good_vals);
-  };
+  uint64_t* const stem_rows = obs_out_.data();
   const size_t n_live = live_stems_.size();
   const auto bucket_begin = [&](size_t k) -> uint32_t {
     return k == 0 ? 0 : bucket_end_[live_stems_[k - 1]];
   };
 
-  // A flop's D-pin fault has no site diff, only its direct capture term.
-  for (size_t p = bucket_begin(n_live); p < stem_order_.size(); ++p) {
-    const uint32_t ci = stem_order_[p];
-    const InjectResultW<W> inj =
-        inject(faults_->record(compute_faults_[ci]).fault);
-    if (inj.direct_detect) inj.direct_mask.store(detect + size_t{ci} * W);
-  }
-
   // Each worker owns a contiguous run of whole stems, of about equal
   // fault count, in every phase.
-  const uint64_t stem_slots = bucket_begin(n_live);
+  const uint64_t stem_slots = stemSlotsEnd();
   const auto shard_begin = [&](unsigned t) {
     const uint64_t target = stem_slots * t / n_threads;
     size_t k = 0;
@@ -524,8 +519,9 @@ void FaultSimulator::simulateStemsW(const LaneWord<W>& lane_mask,
     });
   };
 
-  // Phase 1: inject every fault and keep the lanes of its site diff that
-  // reach the stem; the stem's row collects their union.
+  // Phase 1: inject every fault in its open lanes and keep the lanes of
+  // its site diff that reach the stem; the stem's row collects their
+  // union.
   for_stem_shards([&](ScratchW<W>& sc, size_t lo, size_t hi) {
     for (size_t k = lo; k < hi; ++k) {
       const uint32_t s = live_stems_[k];
@@ -533,14 +529,19 @@ void FaultSimulator::simulateStemsW(const LaneWord<W>& lane_mask,
       for (uint32_t p = bucket_begin(k); p < bucket_end_[s]; ++p) {
         const uint32_t ci = stem_order_[p];
         const Fault& f = faults_->record(compute_faults_[ci]).fault;
-        const InjectResultW<W> inj = inject(f);
-        if (!inj.diff.any()) continue;
-        const LaneWord<W> at_stem =
-            inj.diff & ffrMaskW<W>(sc, f.gate.v, good_vals);
-        at_stem.store(detect + size_t{ci} * W);
+        const LaneWord<W> open = open_lanes(ci);
+        LaneWord<W> at_stem;
+        if (open.any()) {
+          const LaneWord<W> diff =
+              transition
+                  ? injectTransitionW<W>(f, open, frame, launch_vals).diff
+                  : injectStuckAtW<W>(f, open, frame).diff;
+          if (diff.any()) at_stem = diff & ffrMaskW<W>(sc, f.gate.v, frame);
+        }
+        at_stem.store(rows + size_t{ci} * W);
         reach |= at_stem;
       }
-      reach.store(rows + size_t{s} * W);
+      reach.store(stem_rows + size_t{s} * W);
     }
   });
 
@@ -551,16 +552,18 @@ void FaultSimulator::simulateStemsW(const LaneWord<W>& lane_mask,
     uint64_t propagated = 0;
     for (size_t k = lo; k < hi; ++k) {
       const uint32_t s = live_stems_[k];
-      const LaneWord<W> reach = LaneWord<W>::load(rows + size_t{s} * W);
+      const LaneWord<W> reach = LaneWord<W>::load(stem_rows + size_t{s} * W);
       if (!reach.any()) continue;
       const SeedW<W> seed{GateId{s}, reach};
-      const LaneWord<W> observed = propagateSeedsW<W>(
-          sc, {&seed, 1}, good_vals, is_observed_, /*forced=*/nullptr,
+      const LaneWord<W> detected = propagateSeedsW<W>(
+          sc, {&seed, 1}, frame, observed, /*forced=*/nullptr,
           /*record_touched=*/false, /*open_lanes=*/reach);
       ++propagated;
-      for (uint32_t p = bucket_begin(k); p < bucket_end_[s]; ++p) {
-        uint64_t* const row = detect + size_t{stem_order_[p]} * W;
-        (LaneWord<W>::load(row) & observed).store(row);
+      const uint32_t begin = bucket_begin(k);
+      capture(sc, begin, bucket_end_[s]);
+      for (uint32_t p = begin; p < bucket_end_[s]; ++p) {
+        uint64_t* const row = rows + size_t{stem_order_[p]} * W;
+        (LaneWord<W>::load(row) & detected).store(row);
       }
     }
     OBS_COUNT("fsim.stem_propagations", propagated);
@@ -613,25 +616,39 @@ size_t FaultSimulator::simulateActiveFaultsW(int64_t pattern_base,
                              "pattern base " +
                              std::to_string(pattern_base) + ")");
   }
+  const uint64_t* const good_vals = good_.rawValues().data();
+  const uint64_t* const launch_vals = launch_values_.data();
+  auto inject = [&](const Fault& f) {
+    return transition
+               ? injectTransitionW<W>(f, lane_mask, good_vals, launch_vals)
+               : injectStuckAtW<W>(f, lane_mask, good_vals);
+  };
   if (use_stems) {
     OBS_COUNT("fsim.blocks_stem_cpt", 1);
-    simulateStemsW<W>(lane_mask, transition, n_threads);
+    simulateStemsW<W>(
+        good_vals, is_observed_, transition,
+        [&](uint32_t) { return lane_mask; }, block_detect_.data(),
+        [](ScratchW<W>&, uint32_t, uint32_t) {}, n_threads);
+    // A flop's D-pin fault has no site diff, only its direct capture term.
+    for (size_t p = stemSlotsEnd(); p < stem_order_.size(); ++p) {
+      const uint32_t ci = stem_order_[p];
+      const InjectResultW<W> inj =
+          inject(faults_->record(compute_faults_[ci]).fault);
+      if (inj.direct_detect) {
+        inj.direct_mask.store(block_detect_.data() + size_t{ci} * W);
+      }
+    }
     return mergeBlock(pattern_base, n_patterns, /*buffer_reach=*/false);
   }
   OBS_COUNT("fsim.blocks_per_fault", 1);
 
-  const uint64_t* const good_vals = good_.rawValues().data();
-  const uint64_t* const launch_vals = launch_values_.data();
   // Phase 1 — compute: workers read the shared good machine and fault
   // records, write only their own scratch and their slice of the
   // position-indexed result buffers. No shared mutable state, no atomics.
   auto compute_range = [&](ScratchW<W>& sc, size_t lo, size_t hi) {
     for (size_t ci = lo; ci < hi; ++ci) {
       const Fault& f = faults_->record(compute_faults_[ci]).fault;
-      const InjectResultW<W> inj =
-          transition
-              ? injectTransitionW<W>(f, lane_mask, good_vals, launch_vals)
-              : injectStuckAtW<W>(f, lane_mask, good_vals);
+      const InjectResultW<W> inj = inject(f);
       LaneWord<W> detect = inj.direct_detect ? inj.direct_mask
                                              : LaneWord<W>{};
       if (inj.diff.any()) {
@@ -760,31 +777,123 @@ size_t FaultSimulator::simulateStagedW(
   const unsigned n_threads = resolveThreads(n_compute);
   ensureWorkersW<W>(n_threads);
   block_detect_.assign(n_compute * W, 0);
+  uint64_t* const detect = block_detect_.data();
+  const bool use_stems = opts_.engine == BlockEngine::kStemCpt;
 
-  auto compute_range = [&](ScratchW<W>& sc, size_t lo, size_t hi) {
-    std::vector<SeedW<W>> seeds;
-    std::vector<SeedW<W>> held;  // corrupted captures, held to window end
-    for (size_t ci = lo; ci < hi; ++ci) {
-      const Fault& f = faults_->record(compute_faults_[ci]).fault;
-      const Gate& g = nl_->gate(f.gate);
-      const bool dff_pin = f.pin != kOutputPin && g.kind == CellKind::kDff;
-      const LaneWord<W> forced_word = f.type == FaultType::kStuckAt1
-                                          ? LaneWord<W>::ones()
-                                          : LaneWord<W>{};
-      held.clear();
-      LaneWord<W> detect;
+  // Each flop's capture pulse (n_stages for none): a D-pin fault's
+  // direct capture term lands there.
+  std::vector<uint32_t> flop_stage(nl_->numGates(),
+                                   static_cast<uint32_t>(n_stages));
+  for (size_t j = 0; j < n_stages; ++j) {
+    for (GateId ff : stages[j]) {
+      assert(flop_stage[ff.v] == n_stages && "a DFF in two stages");
+      flop_stage[ff.v] = static_cast<uint32_t>(j);
+    }
+  }
+  const auto is_d_pin = [&](const Fault& f) {
+    return f.pin != kOutputPin && nl_->gate(f.gate).kind == CellKind::kDff;
+  };
 
-      for (size_t j = 0; j < n_stages; ++j) {
-        // Later stages only add detections, so a lane that has detected
-        // stays closed, and the fault is done once every lane has.
-        const LaneWord<W> open = lane_mask & ~detect;
-        if (!open.any()) break;
-        const uint64_t* const frame = frame_vals_[j].data();
-        seeds.assign(held.begin(), held.end());
+  // Each compute slot's corrupted captures, held to the window end. The
+  // lanes they cover are the slot's impure lanes: there the faulty
+  // machine differs from the frame beyond the fault site.
+  std::vector<std::vector<SeedW<W>>> held(n_compute);
+  const auto impure = [&](uint32_t ci) {
+    LaneWord<W> m;
+    for (const SeedW<W>& h : held[ci]) m |= h.diff;
+    return m;
+  };
+  // Later stages only add detections, so a lane that has detected stays
+  // closed.
+  const auto open_lanes = [&](uint32_t ci) {
+    return lane_mask & ~LaneWord<W>::load(detect + size_t{ci} * W);
+  };
+  std::vector<uint64_t> stem_rows(use_stems ? n_compute * W : 0);
+  std::vector<uint32_t> per_fault;
+  // The stage's flops whose D driver the stage does not observe, with
+  // that driver: a corrupted capture there reaches later stages unseen.
+  // At other flops it only lands in lanes that have just detected.
+  std::vector<std::pair<GateId, GateId>> carried;
+
+  for (size_t j = 0; j < n_stages; ++j) {
+    const uint64_t* const frame = frame_vals_[j].data();
+    const std::vector<uint8_t>& observed = stage_observed_[j];
+    carried.clear();
+    if (j + 1 < n_stages) {
+      for (GateId ff : stages[j]) {
+        const GateId driver = nl_->gate(ff).fanins[0];
+        if (observed[driver.v] == 0) carried.emplace_back(ff, driver);
+      }
+    }
+    // The diff at `driver` after the worker's last propagation.
+    const auto captured = [&](const ScratchW<W>& sc, GateId driver) {
+      const auto& c = sc.ov[driver.v];
+      return c.stamp == sc.serial
+                 ? (c.fval ^ LaneWord<W>::load(frame + size_t{driver.v} * W)) &
+                       lane_mask
+                 : LaneWord<W>{};
+    };
+
+    if (use_stems) {
+      // In its pure lanes a fault is a plain site flip of this frame, so
+      // the stem pass serves them, and a fault's captures are its share
+      // of the captures its stem's propagation corrupts.
+      simulateStemsW<W>(
+          frame, observed, /*transition=*/false,
+          [&](uint32_t ci) { return open_lanes(ci) & ~impure(ci); },
+          stem_rows.data(),
+          [&](ScratchW<W>& sc, uint32_t begin, uint32_t end) {
+            for (const auto& [ff, driver] : carried) {
+              const LaneWord<W> dd = captured(sc, driver);
+              if (!dd.any()) continue;
+              for (uint32_t p = begin; p < end; ++p) {
+                const uint32_t ci = stem_order_[p];
+                const LaneWord<W> cap =
+                    LaneWord<W>::load(stem_rows.data() + size_t{ci} * W) & dd;
+                // An output-stuck flop never presents its captured value.
+                if (cap.any() &&
+                    faults_->record(compute_faults_[ci]).fault.gate != ff) {
+                  sc.captures.push_back({ci, {ff, cap}});
+                }
+              }
+            }
+          },
+          n_threads);
+      for (uint32_t p = 0; p < stemSlotsEnd(); ++p) {
+        uint64_t* const row = detect + size_t{stem_order_[p]} * W;
+        (LaneWord<W>::load(row) |
+         LaneWord<W>::load(stem_rows.data() + size_t{stem_order_[p]} * W))
+            .store(row);
+      }
+    }
+
+    // The per-fault pass: the held captures plus the re-injected site,
+    // over the impure lanes (every open lane under kPerFault, and for a
+    // D-pin fault, which has no site diff).
+    per_fault.clear();
+    for (uint32_t ci = 0; ci < n_compute; ++ci) {
+      const LaneWord<W> open = open_lanes(ci);
+      if (open.any() &&
+          (!use_stems || (open & impure(ci)).any() ||
+           is_d_pin(faults_->record(compute_faults_[ci]).fault))) {
+        per_fault.push_back(ci);
+      }
+    }
+    auto per_fault_range = [&](ScratchW<W>& sc, size_t lo, size_t hi) {
+      std::vector<SeedW<W>> seeds;
+      for (size_t i = lo; i < hi; ++i) {
+        const uint32_t ci = per_fault[i];
+        const Fault& f = faults_->record(compute_faults_[ci]).fault;
+        const bool dff_pin = is_d_pin(f);
+        LaneWord<W> det = LaneWord<W>::load(detect + size_t{ci} * W);
+        const LaneWord<W> lanes = use_stems && !dff_pin
+                                      ? open_lanes(ci) & impure(ci)
+                                      : open_lanes(ci);
+        seeds.assign(held[ci].begin(), held[ci].end());
         if (!dff_pin) {
           // The stuck line is active in every frame; re-inject against
           // this frame's good values.
-          const InjectResultW<W> inj = injectStuckAtW<W>(f, open, frame);
+          const InjectResultW<W> inj = injectStuckAtW<W>(f, lanes, frame);
           if (inj.diff.any()) seeds.push_back({f.gate, inj.diff});
         }
         const bool propagated = !seeds.empty();
@@ -792,51 +901,68 @@ size_t FaultSimulator::simulateStagedW(
           // Lanes retire as they detect. In the lanes still open the
           // overlay cells this propagation writes hold the faulty
           // machine, which the captured-diff collection below reads.
-          detect |= propagateSeedsW<W>(sc, seeds, frame, stage_observed_[j],
-                                       dff_pin ? nullptr : &f,
-                                       /*record_touched=*/false, open);
-          if (detect.covers(lane_mask)) break;
+          det |= propagateSeedsW<W>(sc, seeds, frame, observed,
+                                    dff_pin ? nullptr : &f,
+                                    /*record_touched=*/false, lanes);
         }
+        if (!det.covers(lane_mask)) {
+          // A fault's own flop is skipped: an output-stuck flop never
+          // presents its captured value, and a D-pin fault's is forced.
+          for (const auto& [ff, driver] : carried) {
+            if (!propagated || ff == f.gate) continue;
+            const LaneWord<W> dd = captured(sc, driver);
+            if (dd.any()) sc.captures.push_back({ci, {ff, dd}});
+          }
+          if (dff_pin && flop_stage[f.gate.v] == j) {
+            // The faulted pin captures the forced value regardless of
+            // the net driving it; visible at its own scan unload.
+            const GateId driver = nl_->gate(f.gate).fanins[0];
+            const LaneWord<W> forced = f.type == FaultType::kStuckAt1
+                                           ? LaneWord<W>::ones()
+                                           : LaneWord<W>{};
+            const LaneWord<W> dd =
+                (LaneWord<W>::load(frame + size_t{driver.v} * W) ^ forced) &
+                lane_mask;
+            if ((nl_->gate(f.gate).flags & kFlagScanCell) != 0) det |= dd;
+            if (dd.any()) sc.captures.push_back({ci, {f.gate, dd}});
+          }
+        }
+        det.store(detect + size_t{ci} * W);
+      }
+    };
+    const unsigned pf_threads = resolveThreads(per_fault.size());
+    if (pf_threads <= 1) {
+      per_fault_range(static_cast<ScratchW<W>&>(*scratch_[0]), 0,
+                      per_fault.size());
+    } else {
+      pool_->run(pf_threads, [&](unsigned shard) {
+        per_fault_range(static_cast<ScratchW<W>&>(*scratch_[shard]),
+                        per_fault.size() * shard / pf_threads,
+                        per_fault.size() * (shard + 1) / pf_threads);
+      });
+    }
 
-        // Collect this stage's corrupted captures: they stay corrupted
-        // (and keep corrupting later stages) until the window ends.
-        if (j + 1 < n_stages || dff_pin) {
-          for (GateId ff : stages[j]) {
-            // An output-stuck DFF never presents its captured value: the
-            // stem stays forced (re-injected every frame), so carrying a
-            // captured diff for it would be wrong.
-            if (!dff_pin && ff == f.gate) continue;
-            const GateId driver = nl_->gate(ff).fanins[0];
-            LaneWord<W> dd;
-            const auto& oc = sc.ov[driver.v];
-            if (propagated && oc.stamp == sc.serial) {
-              dd = (oc.fval ^
-                    LaneWord<W>::load(frame + size_t{driver.v} * W)) &
-                   lane_mask;
-            }
-            if (dff_pin && ff == f.gate) {
-              // The faulted pin captures the forced value regardless of
-              // the net driving it; visible at its own scan unload.
-              dd = (LaneWord<W>::load(frame + size_t{driver.v} * W) ^
-                    forced_word) &
-                   lane_mask;
-              if ((nl_->gate(ff).flags & kFlagScanCell) != 0) detect |= dd;
-            }
-            if (dd.any()) held.push_back({ff, dd});
+    // Hold the stage's captures for the later stages. Both passes can
+    // capture at one flop, in disjoint lanes; they merge into one entry,
+    // since a repeated seed gate would overwrite the earlier seed.
+    for (unsigned t = 0; t < n_threads; ++t) {
+      auto& sc = static_cast<ScratchW<W>&>(*scratch_[t]);
+      if (j + 1 < n_stages) {
+        for (const auto& c : sc.captures) {
+          std::vector<SeedW<W>>& h = held[c.slot];
+          const auto it =
+              std::find_if(h.begin(), h.end(), [&](const SeedW<W>& e) {
+                return e.gate == c.flop.gate;
+              });
+          if (it != h.end()) {
+            it->diff |= c.flop.diff;
+          } else {
+            h.push_back(c.flop);
           }
         }
       }
-      detect.store(block_detect_.data() + ci * W);
+      sc.captures.clear();
     }
-  };
-  if (n_threads <= 1) {
-    compute_range(static_cast<ScratchW<W>&>(*scratch_[0]), 0, n_compute);
-  } else {
-    pool_->run(n_threads, [&](unsigned shard) {
-      const size_t lo = n_compute * shard / n_threads;
-      const size_t hi = n_compute * (shard + 1) / n_threads;
-      compute_range(static_cast<ScratchW<W>&>(*scratch_[shard]), lo, hi);
-    });
   }
 
   return mergeBlock(pattern_base, n_patterns, /*buffer_reach=*/false);

@@ -8,7 +8,8 @@
 // observation set (primary outputs, scan-cell capture pins, DFT
 // observation points). The default engine traces each fault's critical
 // path to its fanout-free-region stem and propagates each stem once per
-// block for all of its region's faults (see BlockEngine).
+// block for all of its region's faults (see BlockEngine). The staged
+// capture path runs that stem pass once per capture frame.
 //
 // The same engine serves both fault families:
 //  * stuck-at:   site forced to a constant,
@@ -74,9 +75,13 @@ class DetectionObserver {
 ///    propagated once per block with only the union of its faults'
 ///    masked site diffs open, and each fault's mask is its masked site
 ///    diff & that propagation's detect block — exact by lane
-///    independence.
+///    independence. Staged blocks run this pass once per capture frame
+///    over each fault's lanes that hold no corrupted capture from an
+///    earlier stage; the lanes that do, and flop D-pin faults, take
+///    the per-fault pass.
 ///  * kPerFault event-propagates every live fault class through its
-///    whole output cone. It is the reference the differential tests
+///    whole output cone (in staged blocks, every lane goes through the
+///    per-fault pass). It is the reference the differential tests
 ///    compare kStemCpt against, and reach observers force it (they
 ///    need each fault's real cone).
 enum class BlockEngine : uint8_t {
@@ -191,9 +196,18 @@ class FaultSimulator {
   /// captured values — the cross-domain mechanism a simultaneous-capture
   /// model misses. Detection is recorded at the D drivers of observed
   /// stage DFFs at their own capture pulse; observed gates not driving
-  /// any stage DFF (e.g. raw primary outputs) are ignored. The reach
-  /// observer is not supported in this mode. With a single stage this is
-  /// equivalent to simulateBlockStuckAt over a scan observation set.
+  /// any stage DFF (e.g. raw primary outputs) are ignored. Each DFF is
+  /// in at most one stage. The reach observer is not supported in this
+  /// mode. With a single stage this is equivalent to
+  /// simulateBlockStuckAt over a scan observation set.
+  ///
+  /// Per frame, the stem engine serves every fault's "pure" lanes (open
+  /// lanes with no corrupted capture from an earlier stage, where the
+  /// fault is a plain site flip); each fault's share of its stem's
+  /// propagation also yields its captures at the stage's flops whose D
+  /// driver the stage does not observe. Lanes that hold a corrupted
+  /// capture, and flop D-pin faults, propagate per fault: the held
+  /// captures plus the re-injected site.
   size_t simulateBlockStuckAtStaged(
       int64_t pattern_base, int n_patterns,
       std::span<const std::vector<GateId>> stages);
@@ -378,6 +392,11 @@ class FaultSimulator {
   /// bucket. Starts a new FFR memo epoch.
   void bucketByStem();
 
+  /// Offset in stem_order_ where the flop D-pin slots start.
+  [[nodiscard]] uint32_t stemSlotsEnd() const {
+    return live_stems_.empty() ? 0 : bucket_end_[live_stems_.back()];
+  }
+
   /// Lanes in which a flip of gate `g` reaches its FFR stem: the product
   /// of the pass masks along g's single-use chain (all lanes for a
   /// stem). Memoized in obs_out_ rows stamped with ffr_serial_; the
@@ -386,12 +405,26 @@ class FaultSimulator {
   sim::LaneWord<W> ffrMaskW(ScratchW<W>& sc, uint32_t g,
                             const uint64_t* good_vals);
 
-  /// kStemCpt compute phase for one block: fills block_detect_ for every
-  /// compute slot. Workers own whole stems, so no obs_out_ row or
-  /// block_detect_ slot is written by two of them.
-  template <size_t W>
-  void simulateStemsW(const sim::LaneWord<W>& lane_mask, bool transition,
-                      unsigned n_threads);
+  /// The kStemCpt pass over one frame (`frame`, gate-major, stride W),
+  /// shared by grading and staged blocks. It buckets the compute slots
+  /// by stem, then:
+  ///  1. injects each stem slot's fault in the lanes `open_lanes(ci)`
+  ///     returns and keeps the lanes of its site diff that reach the
+  ///     stem (its share, stored in `rows`, stride W);
+  ///  2. propagates each stem with a non-empty union of shares once,
+  ///     detecting at the gates flagged in `observed`; then
+  ///     `capture(sc, begin, end)` runs while sc's overlay holds that
+  ///     stem's faulty machine and rows still hold the shares of
+  ///     stem_order_[begin, end); last, each share is ANDed with the
+  ///     observed lanes.
+  /// Flop D-pin slots (from stemSlotsEnd() on) are left to the caller.
+  /// Workers own whole stems, so no obs_out_ row or `rows` slot is
+  /// written by two of them.
+  template <size_t W, class OpenLanes, class Capture>
+  void simulateStemsW(const uint64_t* frame,
+                      const std::vector<uint8_t>& observed, bool transition,
+                      const OpenLanes& open_lanes, uint64_t* rows,
+                      const Capture& capture, unsigned n_threads);
 
   /// Serial phase-2 merge over block_detect_: detection bookkeeping,
   /// observer callbacks, n-detect dropping — in fault-list order.
@@ -430,13 +463,14 @@ class FaultSimulator {
 
   // Stem engine tables. Static: fanout-free chain links (the single
   // consuming gate and slot of every non-stem net) and each gate's FFR
-  // stem (ffr_stem_[g] == g for a stem). Per block, a gate's ffr_stamp_
-  // equals ffr_serial_ once its obs_out_ row (stride W) holds its FFR
-  // mask (non-stem) or once its bucket is live (stem); a live stem's row
-  // holds the union of its faults' masked site diffs. stem_order_ lists
-  // the compute slots grouped by stem, live_stems_ the stems in
-  // first-seen order, and bucket_end_ each live stem's end offset in
-  // stem_order_.
+  // stem (ffr_stem_[g] == g for a stem). Per stem pass (one per grading
+  // block, one per capture frame of a staged block), a gate's
+  // ffr_stamp_ equals ffr_serial_ once its obs_out_ row (stride W) holds
+  // its FFR mask against the pass's frame (non-stem) or once its bucket
+  // is live (stem); a live stem's row holds the union of its faults'
+  // masked site diffs. stem_order_ lists the compute slots grouped by
+  // stem, live_stems_ the stems in first-seen order, and bucket_end_
+  // each live stem's end offset in stem_order_.
   std::vector<uint32_t> single_use_;
   std::vector<uint32_t> single_slot_;
   std::vector<uint32_t> ffr_stem_;

@@ -299,33 +299,11 @@ TEST(LaneDifferential, DropCampaignInvariants) {
 }
 
 // ---------------------------------------------------------------------
-// Staged capture (the dictionary path) across widths.
-
-TEST(LaneDifferential, StagedCaptureRowsAcrossWidths) {
-  const Netlist nl = makeIpCore(11, 1'200);
-  const int64_t n_patterns = 512;
-  const Stimulus st = makeStimulus(nl, 8, 31);
-
-  CampaignConfig ref_cfg;
-  ref_cfg.drop = false;
-  ref_cfg.staged = true;
-  const CampaignState ref = runLaneCampaign(nl, st, n_patterns, ref_cfg);
-
-  for (const uint32_t W : {4u, 8u}) {
-    for (const uint32_t threads : {1u, 2u}) {
-      CampaignConfig cfg = ref_cfg;
-      cfg.lane_words = W;
-      cfg.threads = threads;
-      const CampaignState got = runLaneCampaign(nl, st, n_patterns, cfg);
-      ASSERT_EQ(got.rows, ref.rows) << "W=" << W << " threads=" << threads;
-    }
-  }
-}
-
-// ---------------------------------------------------------------------
-// Staged capture against a frame-by-frame reference. The reference
-// hardwires the fault into a copy of the netlist (fault::injectStuckAt)
-// and runs both machines through the capture window one stage at a time.
+// Staged capture (the dictionary path) across widths, threads and
+// engines. The stem engine serves each fault's lanes that hold no
+// corrupted capture and the per-fault pass the rest, so a fault can
+// capture at one flop through both passes in one stage; with three
+// stages and partial scan such a capture matters two stages on.
 
 /// `nl` with two flops in three flagged scan cells. Each other flop is
 /// left out of the scan, unless its D driver also feeds a scan cell,
@@ -343,6 +321,83 @@ Netlist withPartialScan(Netlist nl) {
   }
   return nl;
 }
+
+/// The tester's view of a partial-scan core: its scan cells' D drivers.
+std::vector<GateId> scanDrivers(const Netlist& nl) {
+  std::vector<GateId> obs;
+  for (GateId dff : nl.dffs()) {
+    if (nl.hasFlag(dff, kFlagScanCell)) obs.push_back(nl.gate(dff).fanins[0]);
+  }
+  return obs;
+}
+
+/// A three-domain core with plenty of cross-domain paths.
+gen::IpCoreSpec stagedSpec(uint64_t seed, size_t gates) {
+  gen::IpCoreSpec spec;
+  spec.seed = seed;
+  spec.target_comb_gates = gates;
+  spec.target_ffs = gates / 10;
+  spec.num_inputs = 10;
+  spec.num_outputs = 8;
+  spec.num_domains = 3;
+  spec.cross_domain_fraction = 0.2;
+  spec.num_xsources = 0;
+  spec.num_noscan_ffs = 0;
+  return spec;
+}
+
+TEST(LaneDifferential, StagedCaptureRowsAcrossWidths) {
+  const int64_t n_patterns = 512;
+  const Netlist full = makeIpCore(11, 1'200);
+  const Netlist partial =
+      withPartialScan(gen::generateIpCore(stagedSpec(23, 1'200)));
+  struct Case {
+    const Netlist* nl;
+    std::vector<GateId> observed;  // empty: every flop observed
+  };
+  for (const Case& c :
+       {Case{&full, {}}, Case{&partial, scanDrivers(partial)}}) {
+    const Netlist& nl = *c.nl;
+    const Stimulus st = makeStimulus(nl, 8, 31);
+    // The reference: kPerFault at W = 1, one thread.
+    CampaignConfig ref_cfg;
+    ref_cfg.drop = false;
+    ref_cfg.staged = true;
+    ref_cfg.observed = c.observed;
+    const CampaignState ref = runLaneCampaign(nl, st, n_patterns, ref_cfg);
+    ASSERT_NE(std::count(ref.status.begin(), ref.status.end(),
+                         FaultStatus::kDetected),
+              0)
+        << nl.name();
+
+    struct Config {
+      BlockEngine engine;
+      uint32_t lane_words;
+      uint32_t threads;
+    };
+    std::vector<Config> configs = {{BlockEngine::kPerFault, 8, 2}};
+    for (const uint32_t W : {1u, 4u, 8u}) {
+      for (const uint32_t threads : {1u, 2u}) {
+        configs.push_back({BlockEngine::kStemCpt, W, threads});
+      }
+    }
+    for (const Config& k : configs) {
+      CampaignConfig cfg = ref_cfg;
+      cfg.engine = k.engine;
+      cfg.lane_words = k.lane_words;
+      cfg.threads = k.threads;
+      const CampaignState got = runLaneCampaign(nl, st, n_patterns, cfg);
+      ASSERT_EQ(got.rows, ref.rows)
+          << nl.name() << " engine=" << static_cast<int>(k.engine)
+          << " W=" << k.lane_words << " threads=" << k.threads;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------
+// Staged capture against a frame-by-frame reference. The reference
+// hardwires the fault into a copy of the netlist (fault::injectStuckAt)
+// and runs both machines through the capture window one stage at a time.
 
 /// Row of fault `f` over the first `n_patterns` patterns of `st`, one
 /// 64-pattern word at a time. Frame 0 evaluates the loaded sources.
@@ -393,20 +448,11 @@ std::vector<uint64_t> stagedReferenceRow(
 }
 
 TEST(LaneDifferential, StagedCaptureMatchesTheFrameByFrameReference) {
-  gen::IpCoreSpec spec;
-  spec.seed = 17;
-  spec.target_comb_gates = 360;
-  spec.target_ffs = 36;
-  spec.num_inputs = 10;
-  spec.num_outputs = 8;
-  spec.num_domains = 3;
-  spec.cross_domain_fraction = 0.2;  // plenty of cross-stage hops
-  spec.num_xsources = 0;
-  spec.num_noscan_ffs = 0;
   const int64_t n_patterns = 500;  // ends in a partial block at W = 1, 8
 
-  for (const Netlist& nl : {withPartialScan(gen::buildTwoDomainPipe(16)),
-                            withPartialScan(gen::generateIpCore(spec))}) {
+  for (const Netlist& nl :
+       {withPartialScan(gen::buildTwoDomainPipe(16)),
+        withPartialScan(gen::generateIpCore(stagedSpec(17, 360)))}) {
     std::vector<std::vector<GateId>> stages(nl.numDomains());
     size_t unscanned = 0;
     for (GateId dff : nl.dffs()) {
@@ -420,11 +466,7 @@ TEST(LaneDifferential, StagedCaptureMatchesTheFrameByFrameReference) {
     cfg.staged = true;
     // The tester sees the scan cells' D drivers, and every D-pin fault
     // of every flop is listed.
-    for (GateId dff : nl.dffs()) {
-      if (nl.hasFlag(dff, kFlagScanCell)) {
-        cfg.observed.push_back(nl.gate(dff).fanins[0]);
-      }
-    }
+    cfg.observed = scanDrivers(nl);
     cfg.list.collapse = false;
     const FaultList faults = FaultList::enumerateStuckAt(nl, cfg.list);
     size_t d_pin = 0;
@@ -453,13 +495,18 @@ TEST(LaneDifferential, StagedCaptureMatchesTheFrameByFrameReference) {
     }
     ASSERT_GT(detected, faults.size() / 2) << nl.name();
 
-    for (const uint32_t W : {1u, 8u}) {
-      cfg.lane_words = W;
-      const CampaignState got = runLaneCampaign(nl, st, n_patterns, cfg);
-      for (size_t i = 0; i < faults.size(); ++i) {
-        ASSERT_EQ(got.rows[i], want[i])
-            << nl.name() << " W=" << W << " fault " << i << " ("
-            << faults.describe(nl, i) << ")";
+    for (const BlockEngine engine :
+         {BlockEngine::kPerFault, BlockEngine::kStemCpt}) {
+      for (const uint32_t W : {1u, 8u}) {
+        cfg.engine = engine;
+        cfg.lane_words = W;
+        const CampaignState got = runLaneCampaign(nl, st, n_patterns, cfg);
+        for (size_t i = 0; i < faults.size(); ++i) {
+          ASSERT_EQ(got.rows[i], want[i])
+              << nl.name() << " engine=" << static_cast<int>(engine)
+              << " W=" << W << " fault " << i << " ("
+              << faults.describe(nl, i) << ")";
+        }
       }
     }
   }
