@@ -12,12 +12,15 @@
 // to BENCH_atpg.json (cubes/sec, backtracks/target, coverage, solver
 // conflicts and learned clauses, stranded/redundant counts), with the
 // shared meta block so the CI delta step can attribute numbers to an
-// environment.
+// environment. A row's counts are one repetition's and its times the
+// mean per repetition; repetitions that disagree on a count stop the
+// harness.
 //
 // Flags: --quick   halve the repetition counts (local smoke runs).
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <random>
 #include <string>
@@ -60,14 +63,9 @@ ScanSetup scanSetup(Netlist& nl) {
   return s;
 }
 
-struct AtpgRow {
-  std::string circuit;
-  size_t gates = 0;
-  size_t faults = 0;
-  size_t tail = 0;  // undetected faults handed to top-up
-  std::string engine;
-  unsigned threads = 0;
-  bool escalate = false;  // TopUpConfig::sat_escalate
+/// One repetition's work and results. Every repetition starts from the
+/// same snapshot, so every repetition must produce the same counts.
+struct AtpgCounts {
   size_t targeted = 0;
   size_t cubes = 0;
   size_t backtracks = 0;
@@ -80,13 +78,31 @@ struct AtpgRow {
   size_t patterns = 0;
   size_t patterns_before_compact = 0;
   double coverage_percent = 0.0;
-  double seconds = 0.0;       // whole runTopUp (incl. fault sim, merge)
-  double atpg_seconds = 0.0;  // inside generate() only — cubes/sec basis
+
+  friend bool operator==(const AtpgCounts&, const AtpgCounts&) = default;
+};
+
+struct AtpgRow {
+  std::string circuit;
+  size_t gates = 0;
+  size_t faults = 0;
+  size_t tail = 0;  // undetected faults handed to top-up
+  std::string engine;
+  unsigned threads = 0;
+  bool escalate = false;  // TopUpConfig::sat_escalate
+  int reps = 0;
+  AtpgCounts counts;  // of one repetition
+  // Mean per repetition: the whole runTopUp (incl. fault sim, merge),
+  // and the time inside generate() only, the cubes/sec basis.
+  double seconds = 0.0;
+  double atpg_seconds = 0.0;
 };
 
 /// Measures `reps` identical top-up campaigns from the post-random-phase
 /// snapshot. Only runTopUp is timed; fault-list restoration and
-/// simulator construction are per-rep setup.
+/// simulator construction are per-rep setup. The row carries the first
+/// repetition's counts and the mean time per repetition; a repetition
+/// whose counts differ from the first exits the harness.
 AtpgRow runCampaign(const std::string& name, const Netlist& nl,
                     const ScanSetup& s, const fault::FaultList& snapshot,
                     atpg::AtpgEngine engine, unsigned threads, bool escalate,
@@ -99,6 +115,7 @@ AtpgRow runCampaign(const std::string& name, const Netlist& nl,
   row.engine = engine == atpg::AtpgEngine::kSat ? "sat" : "compiled";
   row.threads = threads;
   row.escalate = escalate;
+  row.reps = reps;
 
   for (int rep = 0; rep < reps; ++rep) {
     fault::FaultList fl = snapshot;
@@ -113,19 +130,30 @@ AtpgRow runCampaign(const std::string& name, const Netlist& nl,
     const auto t1 = std::chrono::steady_clock::now();
     row.seconds += std::chrono::duration<double>(t1 - t0).count();
     row.atpg_seconds += res.atpg_seconds;
-    row.targeted += res.targeted;
-    row.cubes += res.atpg_detected;
-    row.backtracks += res.backtracks;
-    row.stranded += res.aborted;
-    row.redundant += res.proven_redundant;
-    row.sat_escalated += res.sat_escalated;
-    row.sat_detected += res.sat_detected;
-    row.sat_conflicts += res.sat_conflicts;
-    row.sat_learned += res.sat_learned;
-    row.patterns = res.patterns.size();
-    row.patterns_before_compact = res.patterns_before_compact;
-    row.coverage_percent = res.final_coverage.faultCoveragePercent();
+    const AtpgCounts counts{res.targeted,
+                            res.atpg_detected,
+                            res.backtracks,
+                            res.aborted,
+                            res.proven_redundant,
+                            res.sat_escalated,
+                            res.sat_detected,
+                            res.sat_conflicts,
+                            res.sat_learned,
+                            res.patterns.size(),
+                            res.patterns_before_compact,
+                            res.final_coverage.faultCoveragePercent()};
+    if (rep == 0) {
+      row.counts = counts;
+    } else if (!(counts == row.counts)) {
+      std::fprintf(stderr,
+                   "atpg %s engine=%s threads=%u: repetition %d differs "
+                   "from the first\n",
+                   name.c_str(), row.engine.c_str(), threads, rep);
+      std::exit(1);
+    }
   }
+  row.seconds /= reps;
+  row.atpg_seconds /= reps;
   return row;
 }
 
@@ -140,14 +168,16 @@ void writeJson(const char* path, const std::vector<AtpgRow>& rows) {
   std::fprintf(f, "  \"runs\": [\n");
   for (size_t i = 0; i < rows.size(); ++i) {
     const AtpgRow& r = rows[i];
+    const AtpgCounts& c = r.counts;
     // Engine-only rate (time inside generate()), so the shared
-    // fault-simulation cost cannot dilute it.
-    const double rate = static_cast<double>(r.cubes) / r.atpg_seconds;
+    // fault-simulation cost cannot dilute it. Counts and times are both
+    // per repetition.
+    const double rate = static_cast<double>(c.cubes) / r.atpg_seconds;
     std::fprintf(
         f,
         "    {\"circuit\": \"%s\", \"gates\": %zu, \"faults\": %zu, "
         "\"topup_tail\": %zu, \"engine\": \"%s\", \"threads\": %u, "
-        "\"sat_escalate\": %s, "
+        "\"sat_escalate\": %s, \"reps\": %d, "
         "\"targeted\": %zu, \"cubes\": %zu, \"seconds_total\": %.6f, "
         "\"atpg_seconds\": %.6f, "
         "\"cubes_per_sec\": %.1f, \"backtracks_per_target\": %.3f, "
@@ -157,15 +187,15 @@ void writeJson(const char* path, const std::vector<AtpgRow>& rows) {
         "\"patterns\": %zu, \"patterns_before_compact\": %zu, "
         "\"coverage_percent\": %.4f}%s\n",
         r.circuit.c_str(), r.gates, r.faults, r.tail, r.engine.c_str(),
-        r.threads, r.escalate ? "true" : "false", r.targeted, r.cubes,
-        r.seconds, r.atpg_seconds, rate,
-        r.targeted == 0
+        r.threads, r.escalate ? "true" : "false", r.reps, c.targeted,
+        c.cubes, r.seconds, r.atpg_seconds, rate,
+        c.targeted == 0
             ? 0.0
-            : static_cast<double>(r.backtracks) /
-                  static_cast<double>(r.targeted),
-        r.stranded, r.redundant, r.sat_escalated, r.sat_detected,
-        r.sat_conflicts, r.sat_learned,
-        r.patterns, r.patterns_before_compact, r.coverage_percent,
+            : static_cast<double>(c.backtracks) /
+                  static_cast<double>(c.targeted),
+        c.stranded, c.redundant, c.sat_escalated, c.sat_detected,
+        c.sat_conflicts, c.sat_learned, c.patterns,
+        c.patterns_before_compact, c.coverage_percent,
         i + 1 == rows.size() ? "" : ",");
   }
   std::fprintf(f, "  ],\n");
@@ -258,7 +288,8 @@ int main(int argc, char** argv) {
           "%zu redundant)\n",
           rows.back().circuit.c_str(), rows.back().engine.c_str(),
           c.escalate ? "+escalate" : "", c.threads, rows.back().seconds,
-          rows.back().cubes, rows.back().stranded, rows.back().redundant);
+          rows.back().counts.cubes, rows.back().counts.stranded,
+          rows.back().counts.redundant);
     }
   }
   writeJson("BENCH_atpg.json", rows);

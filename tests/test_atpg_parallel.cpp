@@ -224,10 +224,11 @@ Netlist topUpCore(uint64_t seed) {
 
 /// Runs a short random phase, leaving an undetected tail for top-up.
 void runRandomPhase(fault::FaultSimulator& fsim,
-                    const std::vector<GateId>& assignable) {
+                    const std::vector<GateId>& assignable,
+                    int64_t n_patterns = 256) {
   fsim.classifyUntestable();
   std::mt19937_64 rng(5);
-  for (int64_t base = 0; base < 256; base += 64) {
+  for (int64_t base = 0; base < n_patterns; base += 64) {
     for (GateId src : assignable) fsim.setSource(src, rng());
     fsim.simulateBlockStuckAt(base, 64);
   }
@@ -284,14 +285,18 @@ TEST(TopUpParallel, EscalatedCoverageMatchesSatPrimary) {
   // exact for the starting state. Compiled PODEM with SAT escalation
   // must reach the same coverage: a PODEM untestability claim on a
   // testable fault, or a lost cube, would leave it short.
+  // The adder is random-testable: 256 random patterns leave it no
+  // target, so it gets no random phase, and 64 bits keep its SAT-primary
+  // run short (273 targets).
   struct Workload {
     const char* name;
     Netlist nl;
+    int64_t random_patterns;
   };
   std::vector<Workload> workloads;
-  workloads.push_back({"adder512", gen::buildRippleAdder(512)});
-  workloads.push_back({"alu64", gen::buildMiniAlu(64)});
-  workloads.push_back({"ipcore", topUpCore(92)});
+  workloads.push_back({"adder64", gen::buildRippleAdder(64), 0});
+  workloads.push_back({"alu64", gen::buildMiniAlu(64), 256});
+  workloads.push_back({"ipcore", topUpCore(92), 256});
 
   size_t escalations = 0;
   for (Workload& w : workloads) {
@@ -299,7 +304,7 @@ TEST(TopUpParallel, EscalatedCoverageMatchesSatPrimary) {
     fault::FaultList base = fault::FaultList::enumerateStuckAt(w.nl);
     {
       fault::FaultSimulator fsim(w.nl, base, s.observed);
-      runRandomPhase(fsim, s.assignable);
+      runRandomPhase(fsim, s.assignable, w.random_patterns);
     }
 
     TopUpResult res[2];
@@ -315,6 +320,9 @@ TEST(TopUpParallel, EscalatedCoverageMatchesSatPrimary) {
     }
     const fault::Coverage& escalated = res[0].final_coverage;
     const fault::Coverage& sat = res[1].final_coverage;
+    // With no target, both top-ups return the starting state.
+    EXPECT_GT(res[0].targeted, 0u) << w.name;
+    EXPECT_GT(res[1].targeted, 0u) << w.name;
     EXPECT_EQ(res[1].aborted, 0u) << w.name;
     EXPECT_EQ(res[0].aborted, 0u) << w.name;
     escalations += res[0].sat_escalated;
