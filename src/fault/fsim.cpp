@@ -251,9 +251,15 @@ LaneWord<W> FaultSimulator::propagateSeedsW(
     const LaneWord<W> diff = s.diff & open;
     if (!diff.any()) continue;
     Cell& c = ov[s.gate.v];
-    c.fval = LaneWord<W>::load(good + size_t{s.gate.v} * W) ^ diff;
-    c.stamp = serial;
-    if (record_touched) sc.touched.push_back(s.gate);
+    const LaneWord<W> good_val = LaneWord<W>::load(good + size_t{s.gate.v} * W);
+    if (c.stamp == serial) {
+      // A repeated seed gate: the cell differs in the union of the diffs.
+      c.fval = good_val ^ ((c.fval ^ good_val) | diff);
+    } else {
+      c.fval = good_val ^ diff;
+      c.stamp = serial;
+      if (record_touched) sc.touched.push_back(s.gate);
+    }
     if (observed[s.gate.v] != 0) {
       detect |= diff;
       if (retire) open &= ~diff;
@@ -741,6 +747,20 @@ size_t FaultSimulator::simulateStagedW(
       LaneWord<W>::firstLanes(static_cast<size_t>(n_patterns));
   const size_t n_active = active_.size();
   const size_t n_stages = stages.size();
+  // Each flop's capture pulse (n_stages for none): a D-pin fault's
+  // direct capture term lands there.
+  std::vector<uint32_t> flop_stage(nl_->numGates(),
+                                   static_cast<uint32_t>(n_stages));
+  for (size_t j = 0; j < n_stages; ++j) {
+    for (GateId ff : stages[j]) {
+      if (flop_stage[ff.v] != n_stages) {
+        throw std::invalid_argument("simulateBlockStuckAtStaged: DFF " +
+                                    std::to_string(ff.v) +
+                                    " is listed in two stages");
+      }
+      flop_stage[ff.v] = static_cast<uint32_t>(j);
+    }
+  }
   if (n_active == 0 || n_stages == 0) return 0;
   OBS_SPAN("fsim.staged_block");
   OBS_COUNT("fsim.staged_blocks", 1);
@@ -780,16 +800,6 @@ size_t FaultSimulator::simulateStagedW(
   uint64_t* const detect = block_detect_.data();
   const bool use_stems = opts_.engine == BlockEngine::kStemCpt;
 
-  // Each flop's capture pulse (n_stages for none): a D-pin fault's
-  // direct capture term lands there.
-  std::vector<uint32_t> flop_stage(nl_->numGates(),
-                                   static_cast<uint32_t>(n_stages));
-  for (size_t j = 0; j < n_stages; ++j) {
-    for (GateId ff : stages[j]) {
-      assert(flop_stage[ff.v] == n_stages && "a DFF in two stages");
-      flop_stage[ff.v] = static_cast<uint32_t>(j);
-    }
-  }
   const auto is_d_pin = [&](const Fault& f) {
     return f.pin != kOutputPin && nl_->gate(f.gate).kind == CellKind::kDff;
   };
@@ -943,23 +953,12 @@ size_t FaultSimulator::simulateStagedW(
     }
 
     // Hold the stage's captures for the later stages. Both passes can
-    // capture at one flop, in disjoint lanes; they merge into one entry,
-    // since a repeated seed gate would overwrite the earlier seed.
+    // capture at one flop, in disjoint lanes; propagateSeedsW flips a
+    // repeated seed gate in the union of their diffs.
     for (unsigned t = 0; t < n_threads; ++t) {
       auto& sc = static_cast<ScratchW<W>&>(*scratch_[t]);
       if (j + 1 < n_stages) {
-        for (const auto& c : sc.captures) {
-          std::vector<SeedW<W>>& h = held[c.slot];
-          const auto it =
-              std::find_if(h.begin(), h.end(), [&](const SeedW<W>& e) {
-                return e.gate == c.flop.gate;
-              });
-          if (it != h.end()) {
-            it->diff |= c.flop.diff;
-          } else {
-            h.push_back(c.flop);
-          }
-        }
+        for (const auto& c : sc.captures) held[c.slot].push_back(c.flop);
       }
       sc.captures.clear();
     }

@@ -197,7 +197,8 @@ class FaultSimulator {
   /// model misses. Detection is recorded at the D drivers of observed
   /// stage DFFs at their own capture pulse; observed gates not driving
   /// any stage DFF (e.g. raw primary outputs) are ignored. Each DFF is
-  /// in at most one stage. The reach observer is not supported in this
+  /// in at most one stage; throws std::invalid_argument, before any
+  /// work, when one is listed twice. The reach observer is not supported in this
   /// mode. With a single stage this is equivalent to
   /// simulateBlockStuckAt over a scan observation set.
   ///
@@ -354,7 +355,8 @@ class FaultSimulator {
   /// Propagates the seeds' diffs through their cones against the
   /// `good_vals` frame (gate-major, stride W); returns the detection
   /// block accumulated over gates flagged in `observed`. Only the
-  /// `open_lanes` propagate: seed diffs are masked to them. A lane
+  /// `open_lanes` propagate: seed diffs are masked to them, and seeds
+  /// that share a gate flip it in the union of their diffs. A lane
   /// retires once it detects — every later diff is ANDed with the lanes
   /// still open — and the wheel stops when none is. That is exact by
   /// lane independence: what a detected lane does downstream cannot

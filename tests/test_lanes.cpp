@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <random>
 #include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "core/architect.hpp"
@@ -375,10 +376,16 @@ TEST(LaneDifferential, StagedCaptureRowsAcrossWidths) {
       uint32_t lane_words;
       uint32_t threads;
     };
-    std::vector<Config> configs = {{BlockEngine::kPerFault, 8, 2}};
-    for (const uint32_t W : {1u, 4u, 8u}) {
-      for (const uint32_t threads : {1u, 2u}) {
-        configs.push_back({BlockEngine::kStemCpt, W, threads});
+    // Both engines at W = 4 and 8, and the stem engine at W = 1, each
+    // at 1 and 2 threads.
+    std::vector<Config> configs;
+    for (const BlockEngine engine :
+         {BlockEngine::kPerFault, BlockEngine::kStemCpt}) {
+      for (const uint32_t W : {1u, 4u, 8u}) {
+        if (engine == BlockEngine::kPerFault && W == 1) continue;
+        for (const uint32_t threads : {1u, 2u}) {
+          configs.push_back({engine, W, threads});
+        }
       }
     }
     for (const Config& k : configs) {
@@ -510,6 +517,23 @@ TEST(LaneDifferential, StagedCaptureMatchesTheFrameByFrameReference) {
       }
     }
   }
+}
+
+TEST(LaneDifferential, StagedCaptureRejectsAFlopInTwoStages) {
+  const Netlist nl = gen::buildTwoDomainPipe(16);
+  FaultList faults = FaultList::enumerateStuckAt(nl);
+  FaultSimulator fsim(nl, faults, fault::defaultObservationSet(nl),
+                      FsimOptions{});
+  std::vector<std::vector<GateId>> stages(nl.numDomains());
+  for (GateId dff : nl.dffs()) stages[nl.gate(dff).domain.v].push_back(dff);
+  ASSERT_GE(stages.size(), 2u);
+  stages.back().push_back(stages.front().front());
+  const std::vector<size_t> undetected = faults.undetectedIndices();
+  const size_t live = fsim.liveFaultCount();
+  EXPECT_THROW(fsim.simulateBlockStuckAtStaged(0, 64, stages),
+               std::invalid_argument);
+  EXPECT_EQ(fsim.liveFaultCount(), live);
+  EXPECT_EQ(faults.undetectedIndices(), undetected);
 }
 
 // ---------------------------------------------------------------------
