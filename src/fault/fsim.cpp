@@ -251,7 +251,8 @@ LaneWord<W> FaultSimulator::propagateSeedsW(
     const LaneWord<W> diff = s.diff & open;
     if (!diff.any()) continue;
     Cell& c = ov[s.gate.v];
-    const LaneWord<W> good_val = LaneWord<W>::load(good + size_t{s.gate.v} * W);
+    const LaneWord<W> good_val =
+        LaneWord<W>::load(good + size_t{s.gate.v} * W);
     if (c.stamp == serial) {
       // A repeated seed gate: the cell differs in the union of the diffs.
       c.fval = good_val ^ ((c.fval ^ good_val) | diff);

@@ -198,8 +198,8 @@ class FaultSimulator {
   /// stage DFFs at their own capture pulse; observed gates not driving
   /// any stage DFF (e.g. raw primary outputs) are ignored. Each DFF is
   /// in at most one stage; throws std::invalid_argument, before any
-  /// work, when one is listed twice. The reach observer is not supported in this
-  /// mode. With a single stage this is equivalent to
+  /// work, when one is listed twice. The reach observer is not
+  /// supported in this mode. With a single stage this is equivalent to
   /// simulateBlockStuckAt over a scan observation set.
   ///
   /// Per frame, the stem engine serves every fault's "pure" lanes (open
