@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <type_traits>
 
 #include "obs/obs.hpp"
 #include "robust/robust.hpp"
@@ -51,22 +52,14 @@ std::vector<GateId> fullObservationSet(const Netlist& nl) {
   return obs;
 }
 
-// Width-specific worker scratch: the fault-effect overlay cells. Value
-// and stamps share one cell so an overlay read touches one contiguous
-// spot regardless of W. A staged block's passes also log here the
+// Width-specific worker scratch: a staged block's passes log here the
 // corrupted captures they find for the compute slots the worker owns.
 template <size_t W>
 struct FaultSimulator::ScratchW final : FaultSimulator::ScratchBase {
-  struct Cell {
-    LaneWord<W> fval;
-    uint32_t stamp = 0;   // fval valid when == serial
-    uint32_t queued = 0;  // gate scheduled when == serial
-  };
   struct Capture {
     uint32_t slot;
     SeedW<W> flop;  // the flop's Q differs in flop.diff from now on
   };
-  std::vector<Cell> ov;
   std::vector<Capture> captures;
 };
 
@@ -79,8 +72,10 @@ FaultSimulator::FaultSimulator(const Netlist& nl, FaultList& faults,
       good_(nl, opts.lane_words),
       compiled_(&good_.compiled()),
       observed_(std::move(observed)) {
-  is_observed_.assign(nl.numGates(), 0);
-  for (GateId o : observed_) is_observed_[o.v] = 1;
+  std::vector<uint8_t>& is_observed = observed_set_.gates;
+  is_observed.assign(nl.numGates(), 0);
+  for (GateId o : observed_) is_observed[o.v] = 1;
+  indexObservedOps(observed_set_);
   if (opts_.collapse) {
     collapse_map_ = buildCollapseMap(nl, faults, observed_);
   }
@@ -98,7 +93,7 @@ FaultSimulator::FaultSimulator(const Netlist& nl, FaultList& faults,
   single_slot_ = uses.slot;
   ffr_stem_.assign(n_gates, kNoStem);
   for (uint32_t g = 0; g < n_gates; ++g) {
-    if (is_observed_[g] != 0 || uses.count[g] != 1 ||
+    if (is_observed[g] != 0 || uses.count[g] != 1 ||
         !isCombinational(nl.gate(GateId{single_use_[g]}).kind)) {
       ffr_stem_[g] = g;
     }
@@ -121,6 +116,16 @@ FaultSimulator::FaultSimulator(const Netlist& nl, FaultList& faults,
 }
 
 FaultSimulator::~FaultSimulator() = default;
+
+void FaultSimulator::indexObservedOps(ObservedSet& set) const {
+  const size_t n_ops = compiled_->numOps();
+  set.ops.assign(n_ops / 64 + 1, 0);
+  for (uint32_t op = 0; op < n_ops; ++op) {
+    if (set.gates[compiled_->opGate(op)] != 0) {
+      set.ops[op >> 6] |= uint64_t{1} << (op & 63);
+    }
+  }
+}
 
 void FaultSimulator::prepareComputeSet() {
   constexpr uint32_t kNoSlot = 0xffffffffu;
@@ -176,9 +181,8 @@ template <size_t W>
 void FaultSimulator::ensureWorkersW(unsigned threads) {
   while (scratch_.size() < threads) {
     auto sc = std::make_unique<ScratchW<W>>();
-    sc->ov.assign(nl_->numGates(), typename ScratchW<W>::Cell{});
-    sc->level_queue.resize(compiled_->maxLevel() + 1);
-    sc->level_bits.assign(sc->level_queue.size() / 64 + 1, 0);
+    sc->vals.resize(nl_->numGates() * W);
+    sc->pending.assign(compiled_->numOps() / 64 + 1, 0);
     scratch_.push_back(std::move(sc));
   }
   if (threads > 1 && (pool_ == nullptr || pool_->threads() < threads)) {
@@ -189,83 +193,85 @@ void FaultSimulator::ensureWorkersW(unsigned threads) {
 template <size_t W>
 LaneWord<W> FaultSimulator::evalPinForcedW(GateId id, uint8_t pin,
                                            const LaneWord<W>& forced,
-                                           const uint64_t* good_vals) const {
+                                           const uint64_t* vals) const {
   const uint32_t op = compiled_->opOf(id);
   assert(op != sim::CompiledNetlist::kNoOp &&
          "pin-forced eval on non-combinational gate");
   return compiled_->evalOpT<LaneWord<W>>(
       op, [&](size_t slot, uint32_t f) -> LaneWord<W> {
-        return slot == pin ? forced
-                           : LaneWord<W>::load(good_vals + size_t{f} * W);
-      });
-}
-
-template <size_t W>
-LaneWord<W> FaultSimulator::evalPinForcedOverlayW(
-    const ScratchW<W>& sc, GateId id, uint8_t pin, const LaneWord<W>& forced,
-    const uint64_t* good_vals) const {
-  const uint32_t op = compiled_->opOf(id);
-  assert(op != sim::CompiledNetlist::kNoOp &&
-         "pin-forced eval on non-combinational gate");
-  return compiled_->evalOpT<LaneWord<W>>(
-      op, [&](size_t slot, uint32_t f) -> LaneWord<W> {
-        if (slot == pin) return forced;
-        const auto& c = sc.ov[f];
-        return c.stamp == sc.serial
-                   ? c.fval
-                   : LaneWord<W>::load(good_vals + size_t{f} * W);
+        return slot == pin ? forced : LaneWord<W>::load(vals + size_t{f} * W);
       });
 }
 
 template <size_t W>
 LaneWord<W> FaultSimulator::propagateSeedsW(
-    ScratchW<W>& sc, std::span<const SeedW<W>> seeds,
-    const uint64_t* good_vals, const std::vector<uint8_t>& observed,
-    const Fault* forced, bool record_touched,
+    ScratchW<W>& sc, std::span<const SeedW<W>> seeds, const uint64_t* frame,
+    const ObservedSet& observed, const Fault* forced, bool whole_cone,
     const LaneWord<W>& open_lanes) const {
-  using Cell = typename ScratchW<W>::Cell;
   const sim::CompiledNetlist& cn = *compiled_;
-  const uint32_t serial = ++sc.serial;
-  Cell* const ov = sc.ov.data();
-  const uint64_t* const good = good_vals;
-  uint64_t* const lbits = sc.level_bits.data();
-  if (record_touched) sc.touched.clear();
+  uint64_t* const vals = sc.vals.data();
+  // Take the scratch over: copy a frame it does not hold yet, or else
+  // put back the frame's values at the gates the last propagation
+  // wrote. Restoring here, not at the end of that propagation, lets its
+  // caller read the faulty machine it left behind.
+  if (sc.frame != frame || sc.frame_serial != frame_serial_) {
+    std::copy_n(frame, sc.vals.size(), vals);
+    sc.frame = frame;
+    sc.frame_serial = frame_serial_;
+  } else {
+    for (const GateId g : sc.written) {
+      LaneWord<W>::load(frame + size_t{g.v} * W)
+          .store(vals + size_t{g.v} * W);
+    }
+  }
+  sc.written.clear();
+
+  uint64_t* const pending = sc.pending.data();
+  // Scheduled ops lie in words [lo, hi] of `pending`. Seeds schedule at
+  // any level; a drained gate schedules only higher levels (the netlist
+  // is a DAG), which the level-major op stream puts at higher indices.
+  size_t lo = sc.pending.size();
+  size_t hi = 0;
+  const auto schedule_fanouts = [&](uint32_t g) {
+    for (const sim::CompiledNetlist::FanoutEntry& e : cn.combFanout(g)) {
+      const uint32_t op = cn.opOf(GateId{e.gate});
+      const size_t wi = op >> 6;
+      pending[wi] |= uint64_t{1} << (op & 63);
+      lo = std::min(lo, wi);
+      hi = std::max(hi, wi);
+    }
+  };
+  const auto clear_schedule = [&](size_t from) {
+    if (from <= hi) std::fill(pending + from, pending + hi + 1, 0);
+  };
+
   LaneWord<W> detect;
   // Lanes still propagating. A lane retires once it detects: by lane
   // independence nothing it does downstream can change its result.
   // Recording the reach cone keeps every lane open.
   LaneWord<W> open = open_lanes;
-  const bool retire = !record_touched;
-
-  auto schedule_fanouts = [&](uint32_t g) {
-    for (const sim::CompiledNetlist::FanoutEntry& e : cn.combFanout(g)) {
-      Cell& c = ov[e.gate];
-      if (c.queued == serial) continue;
-      c.queued = serial;
-      sc.level_queue[e.level].push_back(e.gate);
-      lbits[e.level >> 6] |= uint64_t{1} << (e.level & 63);
-    }
-  };
+  const bool retire = !whole_cone;
 
   for (const SeedW<W>& s : seeds) {
     const LaneWord<W> diff = s.diff & open;
     if (!diff.any()) continue;
-    Cell& c = ov[s.gate.v];
-    const LaneWord<W> good_val =
-        LaneWord<W>::load(good + size_t{s.gate.v} * W);
-    if (c.stamp == serial) {
-      // A repeated seed gate: the cell differs in the union of the diffs.
-      c.fval = good_val ^ ((c.fval ^ good_val) | diff);
-    } else {
-      c.fval = good_val ^ diff;
-      c.stamp = serial;
-      if (record_touched) sc.touched.push_back(s.gate);
-    }
-    if (observed[s.gate.v] != 0) {
+    uint64_t* const v = vals + size_t{s.gate.v} * W;
+    const LaneWord<W> good = LaneWord<W>::load(frame + size_t{s.gate.v} * W);
+    // A repeated seed gate differs in the union of the diffs.
+    const LaneWord<W> prior = LaneWord<W>::load(v) ^ good;
+    if (!prior.any()) sc.written.push_back(s.gate);
+    (good ^ (prior | diff)).store(v);
+    if (observed.gates[s.gate.v] != 0) {
       detect |= diff;
       if (retire) open &= ~diff;
     }
     schedule_fanouts(s.gate.v);
+  }
+
+  if (!open.any()) {
+    // Every lane already detects at the seeds.
+    clear_schedule(lo);
+    return detect;
   }
 
   const LaneWord<W> forced_word =
@@ -275,85 +281,85 @@ LaneWord<W> FaultSimulator::propagateSeedsW(
   const uint32_t forced_gate =
       forced != nullptr ? forced->gate.v : sim::CompiledNetlist::kNoOp;
 
-  // Clears every still-scheduled bucket from word `from` on — a call
-  // that stops early must leave the wheel empty for the next one.
-  auto clear_schedule = [&](size_t from) {
-    for (size_t w = from; w < sc.level_bits.size(); ++w) {
-      while (lbits[w] != 0) {
-        const uint32_t l = static_cast<uint32_t>((w << 6)) +
-                           static_cast<uint32_t>(std::countr_zero(lbits[w]));
-        lbits[w] &= lbits[w] - 1;
-        sc.level_queue[l].clear();
-      }
-    }
-  };
-
-  if (!open.any()) {
-    // Every lane already detects at the seeds.
-    clear_schedule(0);
-    return detect;
-  }
-
   // Tallied locally in the drain loop, flushed once per call: the wheel
   // is far too hot for a per-event enabled check.
   uint64_t popped = 0;
 
-  // Drain the wheel in level order. A processed gate only ever schedules
-  // strictly higher levels (the netlist is a DAG), so one forward scan
-  // of the occupancy bitmap visits every non-empty bucket.
-  const size_t n_words = sc.level_bits.size();
-  for (size_t w = 0; w < n_words; ++w) {
-    while (lbits[w] != 0) {
-      const uint32_t l = static_cast<uint32_t>((w << 6)) +
-                         static_cast<uint32_t>(std::countr_zero(lbits[w]));
-      lbits[w] &= lbits[w] - 1;
-      auto& bucket = sc.level_queue[l];
-      for (size_t i = 0; i < bucket.size(); ++i) {
-        const uint32_t g = bucket[i];
+  // Evaluates the scheduled ops of one level, from word `w` up to op
+  // `end` (the level's end), in op order; the observed ones only, or
+  // the rest. Returns false once every lane has retired.
+  const auto drain = [&](auto observed_pass, size_t w, uint32_t end) {
+    constexpr bool kObserved = decltype(observed_pass)::value;
+    const size_t last = (end - 1) >> 6;
+    for (size_t wi = w; wi <= last; ++wi) {
+      uint64_t bits = pending[wi];
+      if (wi == last && (end & 63) != 0) {
+        bits &= (uint64_t{1} << (end & 63)) - 1;
+      }
+      if constexpr (kObserved) bits &= observed.ops[wi];
+      // Draining a level schedules only higher ones, never these bits.
+      pending[wi] &= ~bits;
+      for (; bits != 0; bits &= bits - 1) {
+        const uint32_t op = static_cast<uint32_t>(wi << 6) +
+                            static_cast<uint32_t>(std::countr_zero(bits));
+        const uint32_t g = cn.opGate(op);
         ++popped;
         LaneWord<W> newval;
         if (g != forced_gate) [[likely]] {
           newval = cn.evalOpT<LaneWord<W>>(
-              cn.opOf(GateId{g}), [&](size_t, uint32_t f) -> LaneWord<W> {
-                const Cell& c = ov[f];
-                return c.stamp == serial
-                           ? c.fval
-                           : LaneWord<W>::load(good + size_t{f} * W);
+              op, [&](size_t, uint32_t f) -> LaneWord<W> {
+                return LaneWord<W>::load(vals + size_t{f} * W);
               });
         } else {
           // A seed's cone feeds the fault site: keep the fault applied.
           newval = forced->pin == kOutputPin
                        ? forced_word
-                       : evalPinForcedOverlayW<W>(sc, GateId{g}, forced->pin,
-                                                  forced_word, good_vals);
+                       : evalPinForcedW<W>(GateId{g}, forced->pin,
+                                           forced_word, vals);
         }
-        // The overlay holds the faulty machine in the open lanes and the
+        // The frame gets the faulty machine in the open lanes and the
         // good machine in the rest.
-        const LaneWord<W> good_val = LaneWord<W>::load(good + size_t{g} * W);
-        const LaneWord<W> d = (newval ^ good_val) & open;
-        Cell& c = ov[g];
-        c.fval = good_val ^ d;
-        c.stamp = serial;
-        if (!d.any()) continue;
-        if (record_touched) sc.touched.push_back(GateId{g});
-        if (observed[g] != 0) {
+        uint64_t* const v = vals + size_t{g} * W;
+        const LaneWord<W> good = LaneWord<W>::load(frame + size_t{g} * W);
+        const LaneWord<W> d = (newval ^ good) & open;
+        if (!d.any()) {
+          // Only a seeded fault site can hold a diff here already.
+          if (g == forced_gate) good.store(v);
+          continue;
+        }
+        (good ^ d).store(v);
+        sc.written.push_back(GateId{g});
+        if constexpr (kObserved) {
           detect |= d;
           if (retire) {
             open &= ~d;
-            if (!open.any()) {
-              // Every lane has detected: nothing downstream can change
-              // the result. Clear the outstanding schedule and stop.
-              bucket.clear();
-              clear_schedule(w);
-              OBS_COUNT("fsim.events_popped", popped);
-              return detect;
-            }
+            if (!open.any()) return false;
           }
         }
         schedule_fanouts(g);
       }
-      bucket.clear();
     }
+    return true;
+  };
+
+  // Drain the wheel level by level, each level's observed ops first:
+  // they are where lanes retire, and a gate evaluated after a
+  // retirement propagates fewer lanes. Inside a level the order cannot
+  // change a result, since no gate there reads another.
+  for (size_t w = lo;;) {
+    while (w <= hi && pending[w] == 0) ++w;
+    if (w > hi) break;
+    const uint32_t first = static_cast<uint32_t>(w << 6) +
+                           static_cast<uint32_t>(std::countr_zero(pending[w]));
+    const uint32_t end = cn.levelOpsEnd(cn.level(GateId{cn.opGate(first)}));
+    if (!drain(std::true_type{}, w, end) ||
+        !drain(std::false_type{}, w, end)) {
+      // Every lane has detected: nothing downstream can change the
+      // result. Clear the outstanding schedule and stop.
+      clear_schedule(w);
+      break;
+    }
+    w = end >> 6;
   }
   OBS_COUNT("fsim.events_popped", popped);
   return detect;
@@ -493,7 +499,7 @@ LaneWord<W> FaultSimulator::ffrMaskW(ScratchW<W>& sc, uint32_t g,
 
 template <size_t W, class OpenLanes, class Capture>
 void FaultSimulator::simulateStemsW(const uint64_t* frame,
-                                    const std::vector<uint8_t>& observed,
+                                    const ObservedSet& observed,
                                     bool transition,
                                     const OpenLanes& open_lanes,
                                     uint64_t* rows, const Capture& capture,
@@ -564,7 +570,7 @@ void FaultSimulator::simulateStemsW(const uint64_t* frame,
       const SeedW<W> seed{GateId{s}, reach};
       const LaneWord<W> detected = propagateSeedsW<W>(
           sc, {&seed, 1}, frame, observed, /*forced=*/nullptr,
-          /*record_touched=*/false, /*open_lanes=*/reach);
+          /*whole_cone=*/false, /*open_lanes=*/reach);
       ++propagated;
       const uint32_t begin = bucket_begin(k);
       capture(sc, begin, bucket_end_[s]);
@@ -584,6 +590,8 @@ size_t FaultSimulator::simulateActiveFaultsW(int64_t pattern_base,
   const LaneWord<W> lane_mask =
       LaneWord<W>::firstLanes(static_cast<size_t>(n_patterns));
   if (active_.empty()) return 0;
+  // The caller has just evaluated this block's frame.
+  ++frame_serial_;
 
   // With folding, only one member per equivalence class is propagated;
   // the merge phase shares its mask with every live member.
@@ -633,7 +641,7 @@ size_t FaultSimulator::simulateActiveFaultsW(int64_t pattern_base,
   if (use_stems) {
     OBS_COUNT("fsim.blocks_stem_cpt", 1);
     simulateStemsW<W>(
-        good_vals, is_observed_, transition,
+        good_vals, observed_set_, transition,
         [&](uint32_t) { return lane_mask; }, block_detect_.data(),
         [](ScratchW<W>&, uint32_t, uint32_t) {}, n_threads);
     // A flop's D-pin fault has no site diff, only its direct capture term.
@@ -663,15 +671,15 @@ size_t FaultSimulator::simulateActiveFaultsW(int64_t pattern_base,
         // Every downstream diff stays within the seed's activated lanes,
         // and each of them retires once it detects. Reach observers
         // record the touched cone, which keeps every lane open.
-        detect |= propagateSeedsW<W>(sc, {&seed, 1}, good_vals, is_observed_,
-                                     /*forced=*/nullptr,
-                                     /*record_touched=*/capture_reach,
+        detect |= propagateSeedsW<W>(sc, {&seed, 1}, good_vals,
+                                     observed_set_, /*forced=*/nullptr,
+                                     /*whole_cone=*/capture_reach,
                                      /*open_lanes=*/inj.diff);
         block_had_diff_[ci] = 1;
         if (inline_observer) {
-          reach_observer_->onFaultEffects(compute_faults_[ci], sc.touched);
+          reach_observer_->onFaultEffects(compute_faults_[ci], sc.written);
         } else if (buffer_reach) {
-          block_touched_[ci].assign(sc.touched.begin(), sc.touched.end());
+          block_touched_[ci].assign(sc.written.begin(), sc.written.end());
         }
       }
       detect.store(block_detect_.data() + ci * W);
@@ -780,16 +788,19 @@ size_t FaultSimulator::simulateStagedW(
     frame_vals_[j + 1].assign(good_.rawValues().begin(),
                               good_.rawValues().end());
   }
+  ++frame_serial_;
 
-  // Per-stage observation flags: detection counts at a stage DFF's D
+  // Per-stage observation sets: detection counts at a stage DFF's D
   // driver at that stage's own pulse (and only if globally observed).
   stage_observed_.resize(n_stages);
   for (size_t j = 0; j < n_stages; ++j) {
-    stage_observed_[j].assign(nl_->numGates(), 0);
+    std::vector<uint8_t>& gates = stage_observed_[j].gates;
+    gates.assign(nl_->numGates(), 0);
     for (GateId ff : stages[j]) {
       const GateId driver = nl_->gate(ff).fanins[0];
-      if (is_observed_[driver.v] != 0) stage_observed_[j][driver.v] = 1;
+      if (observed_set_.gates[driver.v] != 0) gates[driver.v] = 1;
     }
+    indexObservedOps(stage_observed_[j]);
   }
   assert(reach_observer_ == nullptr &&
          "reach observer is not supported in staged mode");
@@ -828,21 +839,21 @@ size_t FaultSimulator::simulateStagedW(
 
   for (size_t j = 0; j < n_stages; ++j) {
     const uint64_t* const frame = frame_vals_[j].data();
-    const std::vector<uint8_t>& observed = stage_observed_[j];
+    const ObservedSet& observed = stage_observed_[j];
     carried.clear();
     if (j + 1 < n_stages) {
       for (GateId ff : stages[j]) {
         const GateId driver = nl_->gate(ff).fanins[0];
-        if (observed[driver.v] == 0) carried.emplace_back(ff, driver);
+        if (observed.gates[driver.v] == 0) carried.emplace_back(ff, driver);
       }
     }
-    // The diff at `driver` after the worker's last propagation.
+    // The diff at `driver` after the worker's last propagation, which
+    // ran on this frame.
     const auto captured = [&](const ScratchW<W>& sc, GateId driver) {
-      const auto& c = sc.ov[driver.v];
-      return c.stamp == sc.serial
-                 ? (c.fval ^ LaneWord<W>::load(frame + size_t{driver.v} * W)) &
-                       lane_mask
-                 : LaneWord<W>{};
+      const size_t at = size_t{driver.v} * W;
+      return (LaneWord<W>::load(sc.vals.data() + at) ^
+              LaneWord<W>::load(frame + at)) &
+             lane_mask;
     };
 
     if (use_stems) {
@@ -910,11 +921,11 @@ size_t FaultSimulator::simulateStagedW(
         const bool propagated = !seeds.empty();
         if (propagated) {
           // Lanes retire as they detect. In the lanes still open the
-          // overlay cells this propagation writes hold the faulty
-          // machine, which the captured-diff collection below reads.
+          // worker's frame holds the faulty machine until its next
+          // propagation, which the captured-diff collection below reads.
           det |= propagateSeedsW<W>(sc, seeds, frame, observed,
                                     dff_pin ? nullptr : &f,
-                                    /*record_touched=*/false, lanes);
+                                    /*whole_cone=*/false, lanes);
         }
         if (!det.covers(lane_mask)) {
           // A fault's own flop is skipped: an output-stuck flop never

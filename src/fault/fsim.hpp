@@ -316,22 +316,44 @@ class FaultSimulator {
     sim::LaneWord<W> diff;
   };
 
-  /// Width-independent per-worker propagation state: the level-bucketed
-  /// event queue plus the touched-gate log. Cones are usually tiny but
-  /// can span hundreds of levels (carry chains), so a bitmap of
-  /// non-empty levels lets the wheel skip empty buckets 64 at a time
-  /// instead of walking them. The width-specific fault-effect overlay
-  /// lives in the ScratchW<W> subclass (fsim.cpp).
+  /// An observation set in the two forms the wheel reads: a flag per
+  /// gate (a seed may be a source, which has no op) and a bit per
+  /// compiled op (the drain's observed-first order inside a level).
+  struct ObservedSet {
+    std::vector<uint8_t> gates;
+    std::vector<uint64_t> ops;
+  };
+
+  /// Width-independent per-worker propagation state, the event wheel:
+  ///  * `vals`, a flat copy of the pass's gate-value frame (gate-major,
+  ///    stride laneWords()) that each propagation overwrites in place,
+  ///    so a fanin read is one load. `frame` and `frame_serial` name
+  ///    what it copies; a propagation on another frame, or on new
+  ///    contents of the same buffer (frame_serial_ moved on), copies
+  ///    the frame again.
+  ///  * `written`, the gates the last propagation wrote. The next
+  ///    propagation on the same frame restores them from it first, so
+  ///    until then `vals` still holds the last faulty machine. It is
+  ///    also a reach observer's touched list.
+  ///  * `pending`, one bit per compiled op: the scheduled gates. The op
+  ///    stream is level-major, so draining the bits with countr_zero
+  ///    visits levels in order; inside a level the observed ops go
+  ///    first.
+  /// The width-specific capture log lives in ScratchW<W> (fsim.cpp).
   struct ScratchBase {
     virtual ~ScratchBase() = default;
-    uint32_t serial = 0;
-    std::vector<std::vector<uint32_t>> level_queue;
-    std::vector<uint64_t> level_bits;  // bit l: level_queue[l] non-empty
-    std::vector<GateId> touched;
+    std::vector<uint64_t> vals;
+    const uint64_t* frame = nullptr;
+    uint64_t frame_serial = 0;
+    std::vector<GateId> written;
+    std::vector<uint64_t> pending;
     std::vector<uint32_t> chain;  // FFR gates whose mask ffrMaskW fills
   };
   template <size_t W>
   struct ScratchW;
+
+  /// Fills `set.ops` from `set.gates`.
+  void indexObservedOps(ObservedSet& set) const;
 
   template <size_t W>
   InjectResultW<W> injectStuckAtW(const Fault& f,
@@ -342,37 +364,36 @@ class FaultSimulator {
                                      const sim::LaneWord<W>& lane_mask,
                                      const uint64_t* good_vals,
                                      const uint64_t* launch_vals) const;
+  /// `id`'s output with fanin `pin` forced, its other fanins read from
+  /// `vals` (a frame, gate-major, stride W).
   template <size_t W>
   sim::LaneWord<W> evalPinForcedW(GateId id, uint8_t pin,
                                   const sim::LaneWord<W>& forced,
-                                  const uint64_t* good_vals) const;
-  template <size_t W>
-  sim::LaneWord<W> evalPinForcedOverlayW(const ScratchW<W>& sc, GateId id,
-                                         uint8_t pin,
-                                         const sim::LaneWord<W>& forced,
-                                         const uint64_t* good_vals) const;
+                                  const uint64_t* vals) const;
 
   /// Propagates the seeds' diffs through their cones against the
-  /// `good_vals` frame (gate-major, stride W); returns the detection
-  /// block accumulated over gates flagged in `observed`. Only the
-  /// `open_lanes` propagate: seed diffs are masked to them, and seeds
-  /// that share a gate flip it in the union of their diffs. A lane
+  /// `frame` good machine (gate-major, stride W), on sc's flat copy of
+  /// it; returns the detection block accumulated over `observed`. Only
+  /// the `open_lanes` propagate: seed diffs are masked to them, and
+  /// seeds that share a gate flip it in the union of their diffs. A lane
   /// retires once it detects — every later diff is ANDed with the lanes
   /// still open — and the wheel stops when none is. That is exact by
   /// lane independence: what a detected lane does downstream cannot
-  /// change its result. Afterwards the overlay holds the faulty machine
-  /// in the lanes still open and the good machine in the rest. When
-  /// `record_touched` (reach observers) no lane retires, so sc.touched
-  /// logs the complete cone; the plain detection path skips the log.
-  /// When `forced` names a stuck-at fault, re-evaluations of its gate
-  /// keep the fault applied (needed when another seed's cone feeds the
-  /// fault site).
+  /// change its result. Until the next propagation on `sc`, sc.vals
+  /// holds the faulty machine in the lanes still open at the end; in a
+  /// retired lane a gate may hold either machine's value (the faulty
+  /// one where it was written before the lane retired). sc.written
+  /// lists the gates the propagation wrote, seeds first. With
+  /// `whole_cone` (reach observers) no lane retires, so that list is the
+  /// complete cone. When `forced` names a stuck-at fault,
+  /// re-evaluations of its gate keep the fault applied (needed when
+  /// another seed's cone feeds the fault site).
   template <size_t W>
   sim::LaneWord<W> propagateSeedsW(ScratchW<W>& sc,
                                    std::span<const SeedW<W>> seeds,
-                                   const uint64_t* good_vals,
-                                   const std::vector<uint8_t>& observed,
-                                   const Fault* forced, bool record_touched,
+                                   const uint64_t* frame,
+                                   const ObservedSet& observed,
+                                   const Fault* forced, bool whole_cone,
                                    const sim::LaneWord<W>& open_lanes) const;
 
   template <size_t W>
@@ -414,17 +435,16 @@ class FaultSimulator {
   ///     returns and keeps the lanes of its site diff that reach the
   ///     stem (its share, stored in `rows`, stride W);
   ///  2. propagates each stem with a non-empty union of shares once,
-  ///     detecting at the gates flagged in `observed`; then
-  ///     `capture(sc, begin, end)` runs while sc's overlay holds that
-  ///     stem's faulty machine and rows still hold the shares of
-  ///     stem_order_[begin, end); last, each share is ANDed with the
-  ///     observed lanes.
+  ///     detecting at `observed`; then `capture(sc, begin, end)` runs
+  ///     while sc.vals holds that stem's faulty machine and rows still
+  ///     hold the shares of stem_order_[begin, end); last, each share
+  ///     is ANDed with the observed lanes.
   /// Flop D-pin slots (from stemSlotsEnd() on) are left to the caller.
   /// Workers own whole stems, so no obs_out_ row or `rows` slot is
   /// written by two of them.
   template <size_t W, class OpenLanes, class Capture>
-  void simulateStemsW(const uint64_t* frame,
-                      const std::vector<uint8_t>& observed, bool transition,
+  void simulateStemsW(const uint64_t* frame, const ObservedSet& observed,
+                      bool transition,
                       const OpenLanes& open_lanes, uint64_t* rows,
                       const Capture& capture, unsigned n_threads);
 
@@ -443,24 +463,27 @@ class FaultSimulator {
   FsimOptions opts_;
   size_t lane_words_;
   sim::Simulator2v good_;
-  // Compiled tables (owned by good_): opcode stream, fanin CSR, and the
-  // comb-fanout CSR with levels that the event wheel walks.
+  // Compiled tables (owned by good_): the level-major opcode stream,
+  // fanin CSR and comb-fanout CSR that the event wheel walks.
   const sim::CompiledNetlist* compiled_;
   std::vector<GateId> observed_;
-  std::vector<uint8_t> is_observed_;
+  ObservedSet observed_set_;
 
   // Launch-cycle good values for transition simulation (stride W).
   std::vector<uint64_t> launch_values_;
 
   // Staged capture: good-machine values per capture frame (stride W),
-  // and per-stage observation flags (D drivers of that stage's observed
+  // and per-stage observation sets (D drivers of that stage's observed
   // DFFs).
   std::vector<std::vector<uint64_t>> frame_vals_;
-  std::vector<std::vector<uint8_t>> stage_observed_;
+  std::vector<ObservedSet> stage_observed_;
 
   // One propagation scratch per worker (index 0 doubles as the serial
-  // path's scratch), created on demand.
+  // path's scratch), created on demand. Every block moves frame_serial_
+  // on, since its frames hold new values; a scratch whose copy is older
+  // copies its frame again.
   std::vector<std::unique_ptr<ScratchBase>> scratch_;
+  uint64_t frame_serial_ = 0;
   std::unique_ptr<core::ThreadPool> pool_;
 
   // Stem engine tables. Static: fanout-free chain links (the single

@@ -17,6 +17,7 @@
 #include <random>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/architect.hpp"
@@ -640,6 +641,164 @@ TEST(LaneDifferential, WideMasksMatchBruteForceResimulation) {
         ASSERT_EQ(got.rows[i], want[i])
             << nl.name() << " engine=" << static_cast<int>(engine)
             << " fault " << i << " (" << faults.describe(nl, i) << ")";
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------
+// Frame hand-off. Each worker propagates on its own copy of the pass's
+// frame and leaves the last faulty machine in it until its next
+// propagation, so a simulator that lives across blocks must copy each
+// new frame, and each propagation must first undo the last one's
+// writes. One simulator runs blocks of every kind in turn; each block's
+// rows must equal the brute-force (stuck-at, transition) or
+// frame-by-frame (staged) reference, and its observer stream and the
+// statuses it leads to must equal a fresh simulator's that runs the
+// block alone.
+
+enum class BlockKind { kStuckAt, kStaged, kTransition };
+
+/// Loads block `b` of `st` (its lanes cover patterns [b * lanes,
+/// (b + 1) * lanes)) and simulates it as `kind`.
+void runBlock(FaultSimulator& fsim, const Stimulus& st, size_t b,
+              BlockKind kind, std::span<const std::vector<GateId>> stages) {
+  const size_t w = fsim.laneWords();
+  for (size_t k = 0; k < st.sources.size(); ++k) {
+    fsim.setSourceRow(st.sources[k], st.words[k].data() + b * w);
+  }
+  const auto base = static_cast<int64_t>(b * fsim.lanes());
+  const int lanes = static_cast<int>(fsim.lanes());
+  switch (kind) {
+    case BlockKind::kStuckAt:
+      fsim.simulateBlockStuckAt(base, lanes);
+      break;
+    case BlockKind::kStaged:
+      fsim.simulateBlockStuckAtStaged(base, lanes, stages);
+      break;
+    case BlockKind::kTransition:
+      fsim.simulateBlockTransition(base, lanes);
+      break;
+  }
+}
+
+/// Every fault's row over the whole stimulus, under each block model.
+struct BlockReferences {
+  std::vector<std::vector<uint64_t>> stuck_at;
+  std::vector<std::vector<uint64_t>> staged;
+  std::vector<std::vector<uint64_t>> transition;
+
+  [[nodiscard]] const std::vector<std::vector<uint64_t>>& of(
+      BlockKind kind) const {
+    return kind == BlockKind::kStuckAt  ? stuck_at
+           : kind == BlockKind::kStaged ? staged
+                                        : transition;
+  }
+};
+
+/// Runs `kinds` in turn on one no-drop simulator and checks every block
+/// as the section comment says.
+void checkAcrossFrames(const Netlist& nl, const Stimulus& st,
+                       std::span<const GateId> observed,
+                       std::span<const std::vector<GateId>> stages,
+                       std::span<const BlockKind> kinds,
+                       const BlockReferences& ref, BlockEngine engine,
+                       uint32_t lane_words, uint32_t threads) {
+  const bool transition = kinds.front() == BlockKind::kTransition;
+  const auto enumerate = [&] {
+    return transition ? FaultList::enumerateTransition(nl)
+                      : FaultList::enumerateStuckAt(nl);
+  };
+  FsimOptions opts;
+  opts.drop_detected = false;
+  opts.threads = threads;
+  opts.min_faults_per_thread = 1;  // force real sharding on small nets
+  opts.engine = engine;
+  opts.lane_words = lane_words;
+
+  const size_t n_words = st.words[0].size();
+  FaultList faults = enumerate();
+  FaultSimulator fsim(nl, faults, {observed.begin(), observed.end()}, opts);
+  std::vector<FaultStatus> want_status(faults.size(),
+                                       FaultStatus::kUndetected);
+  std::vector<int64_t> want_first(faults.size(), -1);
+  for (size_t b = 0; b < kinds.size(); ++b) {
+    const std::string where = "block " + std::to_string(b) + " engine=" +
+                              std::to_string(static_cast<int>(engine)) +
+                              " W=" + std::to_string(lane_words) +
+                              " threads=" + std::to_string(threads);
+    RowObserver got(faults.size(), n_words);
+    fsim.setDetectionObserver(&got);
+    runBlock(fsim, st, b, kinds[b], stages);
+
+    FaultList fresh_faults = enumerate();
+    FaultSimulator fresh(nl, fresh_faults, {observed.begin(), observed.end()},
+                         opts);
+    RowObserver want(faults.size(), n_words);
+    fresh.setDetectionObserver(&want);
+    runBlock(fresh, st, b, kinds[b], stages);
+
+    ASSERT_FALSE(want.stream.empty()) << where;
+    ASSERT_EQ(got.stream, want.stream) << where;
+    const std::vector<std::vector<uint64_t>>& rows = ref.of(kinds[b]);
+    for (size_t i = 0; i < faults.size(); ++i) {
+      for (size_t wi = 0; wi < n_words; ++wi) {
+        const bool in_block = wi / lane_words == b;
+        ASSERT_EQ(got.rows[i][wi], in_block ? rows[i][wi] : 0)
+            << where << " fault " << i << " ("
+            << faults.describe(nl, i) << ") word " << wi;
+      }
+      const fault::FaultRecord& r = fresh_faults.record(i);
+      if (r.status == FaultStatus::kDetected &&
+          want_status[i] == FaultStatus::kUndetected) {
+        want_status[i] = FaultStatus::kDetected;
+        want_first[i] = r.first_detect_pattern;
+      }
+      ASSERT_EQ(faults.record(i).status, want_status[i]) << where;
+      ASSERT_EQ(faults.record(i).first_detect_pattern, want_first[i])
+          << where << " fault " << i;
+    }
+  }
+}
+
+TEST(LaneDifferential, OneSimulatorAcrossFramesMatchesFreshOnes) {
+  const Netlist nl =
+      withPartialScan(gen::generateIpCore(stagedSpec(29, 200)));
+  std::vector<std::vector<GateId>> stages(nl.numDomains());
+  for (GateId dff : nl.dffs()) stages[nl.gate(dff).domain.v].push_back(dff);
+  ASSERT_EQ(stages.size(), 3u);
+  ASSERT_TRUE(std::any_of(nl.dffs().begin(), nl.dffs().end(),
+                          [&](GateId ff) {
+                            return !nl.hasFlag(ff, kFlagScanCell);
+                          }));
+  const std::vector<GateId> observed = scanDrivers(nl);
+  const BlockKind stuck_at[] = {BlockKind::kStuckAt, BlockKind::kStaged,
+                                BlockKind::kStuckAt, BlockKind::kStaged};
+  const BlockKind transition[] = {BlockKind::kTransition,
+                                  BlockKind::kTransition};
+
+  // Four blocks of the widest lane width; narrower blocks read a prefix.
+  const Stimulus st = makeStimulus(nl, 4 * 8, 41);
+  const int64_t n_patterns = 4 * 8 * 64;
+  BlockReferences ref;
+  const FaultList sa = FaultList::enumerateStuckAt(nl);
+  ref.stuck_at = bruteForceRows(nl, st, n_patterns, sa, observed, false);
+  for (const fault::FaultRecord& r : sa.records()) {
+    ref.staged.push_back(
+        stagedReferenceRow(nl, st, n_patterns, r.fault, stages));
+  }
+  ref.transition =
+      bruteForceRows(nl, st, n_patterns, FaultList::enumerateTransition(nl),
+                     observed, true);
+
+  for (const BlockEngine engine :
+       {BlockEngine::kPerFault, BlockEngine::kStemCpt}) {
+    for (const uint32_t W : {1u, 8u}) {
+      for (const uint32_t threads : {1u, 2u}) {
+        checkAcrossFrames(nl, st, observed, stages, stuck_at, ref, engine, W,
+                          threads);
+        checkAcrossFrames(nl, st, observed, stages, transition, ref, engine,
+                          W, threads);
       }
     }
   }
