@@ -241,7 +241,7 @@ LaneWord<W> FaultSimulator::propagateSeedsW(
       hi = std::max(hi, wi);
     }
   };
-  const auto clear_schedule = [&](size_t from) {
+  const auto clear_pending = [&](size_t from) {
     if (from <= hi) std::fill(pending + from, pending + hi + 1, 0);
   };
 
@@ -270,7 +270,7 @@ LaneWord<W> FaultSimulator::propagateSeedsW(
 
   if (!open.any()) {
     // Every lane already detects at the seeds.
-    clear_schedule(lo);
+    clear_pending(lo);
     return detect;
   }
 
@@ -356,7 +356,7 @@ LaneWord<W> FaultSimulator::propagateSeedsW(
         !drain(std::false_type{}, w, end)) {
       // Every lane has detected: nothing downstream can change the
       // result. Clear the outstanding schedule and stop.
-      clear_schedule(w);
+      clear_pending(w);
       break;
     }
     w = end >> 6;
