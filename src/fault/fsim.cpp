@@ -19,6 +19,10 @@ namespace {
 // Stem key of a compute slot with no site diff (a flop's D-pin fault),
 // and the unset mark while the constructor links regions.
 constexpr uint32_t kNoStem = 0xffffffffu;
+// A stem pass propagates on one worker per numGates / kCopyRowsPerStem
+// stems that propagate, so a worker's frame copy, one row per gate,
+// costs at most kCopyRowsPerStem rows per stem it propagates.
+constexpr size_t kCopyRowsPerStem = 64;
 }  // namespace
 
 void validateFsimOptions(const FsimOptions& opts) {
@@ -214,9 +218,8 @@ LaneWord<W> FaultSimulator::propagateSeedsW(
   // put back the frame's values at the gates the last propagation
   // wrote. Restoring here, not at the end of that propagation, lets its
   // caller read the faulty machine it left behind.
-  if (sc.frame != frame || sc.frame_serial != frame_serial_) {
+  if (sc.frame_serial != frame_serial_) {
     std::copy_n(frame, sc.vals.size(), vals);
-    sc.frame = frame;
     sc.frame_serial = frame_serial_;
   } else {
     for (const GateId g : sc.written) {
@@ -512,21 +515,21 @@ void FaultSimulator::simulateStemsW(const uint64_t* frame,
     return k == 0 ? 0 : bucket_end_[live_stems_[k - 1]];
   };
 
-  // Each worker owns a contiguous run of whole stems, of about equal
-  // fault count, in every phase.
+  // Each of `n` workers owns a contiguous run of whole stems, of about
+  // equal fault count.
   const uint64_t stem_slots = stemSlotsEnd();
-  const auto shard_begin = [&](unsigned t) {
-    const uint64_t target = stem_slots * t / n_threads;
-    size_t k = 0;
-    while (k < n_live && bucket_end_[live_stems_[k]] <= target) ++k;
-    return k;
-  };
-  const auto for_stem_shards = [&](auto&& body) {
-    if (n_threads <= 1) {
+  const auto for_stem_shards = [&](unsigned n, auto&& body) {
+    if (n <= 1) {
       body(static_cast<ScratchW<W>&>(*scratch_[0]), size_t{0}, n_live);
       return;
     }
-    pool_->run(n_threads, [&](unsigned t) {
+    const auto shard_begin = [&](unsigned t) {
+      const uint64_t target = stem_slots * t / n;
+      size_t k = 0;
+      while (k < n_live && bucket_end_[live_stems_[k]] <= target) ++k;
+      return k;
+    };
+    pool_->run(n, [&](unsigned t) {
       body(static_cast<ScratchW<W>&>(*scratch_[t]), shard_begin(t),
            shard_begin(t + 1));
     });
@@ -535,7 +538,7 @@ void FaultSimulator::simulateStemsW(const uint64_t* frame,
   // Phase 1: inject every fault in its open lanes and keep the lanes of
   // its site diff that reach the stem; the stem's row collects their
   // union.
-  for_stem_shards([&](ScratchW<W>& sc, size_t lo, size_t hi) {
+  for_stem_shards(n_threads, [&](ScratchW<W>& sc, size_t lo, size_t hi) {
     for (size_t k = lo; k < hi; ++k) {
       const uint32_t s = live_stems_[k];
       LaneWord<W> reach;
@@ -560,8 +563,18 @@ void FaultSimulator::simulateStemsW(const uint64_t* frame,
 
   // Phase 2: one propagation per stem with only the union's lanes open;
   // each fault's mask is the lanes of its own share that are observed.
+  // A worker's first propagation copies the whole frame, so the workers
+  // are counted by the stems that propagate (kCopyRowsPerStem): a
+  // sparse block, as most of a dropping campaign's are, pays one copy.
   OBS_SPAN("fsim.cpt_observability");
-  for_stem_shards([&](ScratchW<W>& sc, size_t lo, size_t hi) {
+  size_t n_propagating = 0;
+  for (const uint32_t s : live_stems_) {
+    if (LaneWord<W>::load(stem_rows + size_t{s} * W).any()) ++n_propagating;
+  }
+  const unsigned n_prop_threads = static_cast<unsigned>(std::clamp<size_t>(
+      n_propagating * kCopyRowsPerStem / nl_->numGates(), 1, n_threads));
+  for_stem_shards(n_prop_threads, [&](ScratchW<W>& sc, size_t lo,
+                                      size_t hi) {
     uint64_t propagated = 0;
     for (size_t k = lo; k < hi; ++k) {
       const uint32_t s = live_stems_[k];
@@ -788,7 +801,6 @@ size_t FaultSimulator::simulateStagedW(
     frame_vals_[j + 1].assign(good_.rawValues().begin(),
                               good_.rawValues().end());
   }
-  ++frame_serial_;
 
   // Per-stage observation sets: detection counts at a stage DFF's D
   // driver at that stage's own pulse (and only if globally observed).
@@ -838,6 +850,8 @@ size_t FaultSimulator::simulateStagedW(
   std::vector<std::pair<GateId, GateId>> carried;
 
   for (size_t j = 0; j < n_stages; ++j) {
+    // Both passes of this stage propagate on its frame.
+    ++frame_serial_;
     const uint64_t* const frame = frame_vals_[j].data();
     const ObservedSet& observed = stage_observed_[j];
     carried.clear();

@@ -327,10 +327,9 @@ class FaultSimulator {
   /// Width-independent per-worker propagation state, the event wheel:
   ///  * `vals`, a flat copy of the pass's gate-value frame (gate-major,
   ///    stride laneWords()) that each propagation overwrites in place,
-  ///    so a fanin read is one load. `frame` and `frame_serial` name
-  ///    what it copies; a propagation on another frame, or on new
-  ///    contents of the same buffer (frame_serial_ moved on), copies
-  ///    the frame again.
+  ///    so a fanin read is one load. `frame_serial` names the frame it
+  ///    copies; a propagation after frame_serial_ has moved on copies
+  ///    its frame again.
   ///  * `written`, the gates the last propagation wrote. The next
   ///    propagation on the same frame restores them from it first, so
   ///    until then `vals` still holds the last faulty machine. It is
@@ -343,7 +342,6 @@ class FaultSimulator {
   struct ScratchBase {
     virtual ~ScratchBase() = default;
     std::vector<uint64_t> vals;
-    const uint64_t* frame = nullptr;
     uint64_t frame_serial = 0;
     std::vector<GateId> written;
     std::vector<uint64_t> pending;
@@ -441,7 +439,10 @@ class FaultSimulator {
   ///     is ANDed with the observed lanes.
   /// Flop D-pin slots (from stemSlotsEnd() on) are left to the caller.
   /// Workers own whole stems, so no obs_out_ row or `rows` slot is
-  /// written by two of them.
+  /// written by two of them. Step 1 runs on `n_threads` workers. Since
+  /// a worker's first propagation copies the whole frame, step 2 runs
+  /// on one worker per numGates / 64 stems that propagate, at least one
+  /// and at most `n_threads`.
   template <size_t W, class OpenLanes, class Capture>
   void simulateStemsW(const uint64_t* frame, const ObservedSet& observed,
                       bool transition,
@@ -479,9 +480,10 @@ class FaultSimulator {
   std::vector<ObservedSet> stage_observed_;
 
   // One propagation scratch per worker (index 0 doubles as the serial
-  // path's scratch), created on demand. Every block moves frame_serial_
-  // on, since its frames hold new values; a scratch whose copy is older
-  // copies its frame again.
+  // path's scratch), created on demand. frame_serial_ moves on with each
+  // frame a pass propagates on: a block's good machine, or one capture
+  // frame of a staged block. A scratch whose copy is older copies the
+  // frame again.
   std::vector<std::unique_ptr<ScratchBase>> scratch_;
   uint64_t frame_serial_ = 0;
   std::unique_ptr<core::ThreadPool> pool_;
